@@ -4,7 +4,6 @@ tree-shaped concurrent game structures with strategy play-out."""
 from .bridge import (
     BridgeError,
     BridgeVerdict,
-    FixedActionStrategy,
     StrategySide,
     causal_profile,
     check_prop_cause_iff_strategy,
@@ -23,13 +22,9 @@ from .builder import (
     action_path,
     build_causal_cgs,
     build_states,
-    check_child_ranges,
     check_leaf_correspondence,
     check_rank_stability,
-    check_transition_injectivity,
-    check_tree_shape,
     corresponds,
-    label_states,
     moves_at,
     size_report,
     transition,
@@ -43,6 +38,7 @@ from .causality import (
     dependence_with_witness,
     enumerate_causes,
     is_butfor_cause,
+    subsets_by_size,
 )
 from .cgs import (
     NO_OP,
@@ -101,5 +97,3 @@ from .model import (
     validate_model,
 )
 from .randgen import GeneratorConfig, random_expression, random_model, random_true_event
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,10 +20,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .builder import CausalCgs, StateIndex, action_path, build_causal_cgs, corresponds
-from .causality import CandidateCause, CauseCertificate, Witness, dependence_with_witness
+from .causality import (
+    CandidateCause,
+    CauseCertificate,
+    Witness,
+    dependence_with_witness,
+    subsets_by_size,
+)
 from .cgs import NO_OP, Strategy, StrategyProfile, fixed_action_strategy, play
 from .model import (
     CausalModel,
@@ -40,15 +46,6 @@ from .model import (
 
 class BridgeError(ModelError):
     pass
-
-
-@dataclass(frozen=True)
-class FixedActionStrategy:
-    agent: VariableId
-    value: Value
-
-    def as_strategy(self, cgs: CausalCgs) -> Strategy:
-        return fixed_action_strategy(cgs.base, self.agent, self.value)
 
 
 def causal_profile(model: CausalModel, context: Context, cgs: CausalCgs) -> StrategyProfile:
@@ -81,18 +78,9 @@ def definition_choice(cgs: CausalCgs, agent: VariableId, state: StateIndex) -> V
     return evaluate(surgered, cgs.origin.context, {})[agent]
 
 
-def _normalize_fixed(
-    cgs: CausalCgs,
-    fixed: Union[Mapping[VariableId, Value], Iterable[FixedActionStrategy]],
-) -> dict[VariableId, Value]:
-    if isinstance(fixed, Mapping):
-        pairs = list(fixed.items())
-    else:
-        pairs = [(f.agent, f.value) for f in fixed]
+def _normalize_fixed(cgs: CausalCgs, fixed: Mapping[VariableId, Value]) -> dict[VariableId, Value]:
     out: dict[VariableId, Value] = {}
-    for agent, value in pairs:
-        if agent in out:
-            raise BridgeError(f"two fixed actions for agent {agent}")
+    for agent, value in fixed.items():
         if agent not in cgs.agents:
             raise BridgeError(f"{agent} is not an agent variable")
         if value not in cgs.origin.model.domain[agent]:
@@ -105,7 +93,7 @@ def play_deviation(
     cgs: CausalCgs,
     model: CausalModel,
     context: Context,
-    fixed: Union[Mapping[VariableId, Value], Iterable[FixedActionStrategy]],
+    fixed: Mapping[VariableId, Value],
 ) -> StateIndex:
     """Play fixed actions for some agents, the model-following profile for
     the rest; returns the reached maximal-depth state.
@@ -275,10 +263,9 @@ def witness_sweep(
         if v not in set(candidate.vars)
     ]
     out = []
-    for size in range(len(pool) + 1):
-        for vars_ in itertools.combinations(pool, size):
-            witness = Witness(vars_, tuple(actual[w] for w in vars_))
-            out.append(
-                (witness, check_prop_cause_iff_strategy(model, context, candidate, witness, outcome))
-            )
+    for vars_ in subsets_by_size(pool):
+        witness = Witness(vars_, tuple(actual[w] for w in vars_))
+        out.append(
+            (witness, check_prop_cause_iff_strategy(model, context, candidate, witness, outcome))
+        )
     return out

@@ -19,7 +19,7 @@ from functools import reduce
 from typing import Mapping, Optional, Sequence
 from weakref import WeakKeyDictionary
 
-from .cgs import NO_OP, Cgs, Move
+from .cgs import NO_OP, Cgs, Move, legal_move_vectors
 from .graph import AgentRanking, agent_ranking, build_network, variable_levels
 from .model import (
     CausalModel,
@@ -72,10 +72,7 @@ class CausalCgs:
     agents: tuple[VariableId, ...]
     origin: Origin
     parent: Mapping[StateIndex, tuple[StateIndex, tuple[Move, ...]]]
-    children: Mapping[StateIndex, tuple[tuple[tuple[Move, ...], StateIndex], ...]]
     assignments: Mapping[StateIndex, Mapping[VariableId, Value]]
-    accumulated: Mapping[StateIndex, Mapping[VariableId, Value]]
-    structural_model: CausalModel  # the generating intervention applied
 
     @property
     def root(self) -> StateIndex:
@@ -90,23 +87,21 @@ class CausalCgs:
         return self.ranking.n_max
 
     @property
-    def rank_of_agent(self) -> dict[VariableId, int]:
-        return {a: self.ranking.rho[a] for a in self.agents}
-
-    @property
     def leaves(self) -> tuple[StateIndex, ...]:
         return tuple(q for q in self.states if q.i == self.n_max)
 
     def descendants(self, state: StateIndex) -> set[StateIndex]:
         """States reachable in one or more steps (a leaf reaches itself)."""
+        transition = self.base.transition
         seen: set[StateIndex] = set()
-        frontier = [child for _, child in self.children[state]]
+        frontier = [state]
         while frontier:
             q = frontier.pop()
-            if q in seen:
-                continue
-            seen.add(q)
-            frontier.extend(child for _, child in self.children[q] if child not in seen)
+            for vector in legal_move_vectors(self.base, q):
+                child = transition[(q, vector)]
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
         return seen
 
 
@@ -210,14 +205,14 @@ def build_causal_cgs(
         for agent in agents:
             moves[(agent, state)] = moves_at(ranking, model, state, agent)
 
+    # Exports walk this table in insertion order: states by (depth, index),
+    # then move vectors in product order.
     transitions: dict[tuple[StateIndex, tuple[Move, ...]], StateIndex] = {}
     parent: dict[StateIndex, tuple[StateIndex, tuple[Move, ...]]] = {}
-    children: dict[StateIndex, list[tuple[tuple[Move, ...], StateIndex]]] = {q: [] for q in states}
     for state in states:
         for vector in itertools.product(*(moves[(a, state)] for a in agents)):
             target = transition(ranking, model, state, vector)
             transitions[(state, vector)] = target
-            children[state].append((vector, target))
             if target != state:
                 parent[target] = (state, vector)
 
@@ -257,24 +252,10 @@ def build_causal_cgs(
         agents=agents,
         origin=Origin(model=model, context=dict(context), intervention=generating),
         parent=parent,
-        children={q: tuple(edges) for q, edges in children.items()},
         assignments=assignments,
-        accumulated=accumulated,
-        structural_model=structural,
     )
     per_model[key] = built
     return built
-
-
-def label_states(
-    model: CausalModel,
-    context: Context,
-    generating_intervention: Optional[Intervention] = None,
-) -> dict[StateIndex, dict[VariableId, Value]]:
-    """State labels as full assignments (root: just the generating
-    intervention; children: plus the accumulated actions)."""
-    cgs = build_causal_cgs(model, context, generating_intervention)
-    return {q: dict(a) for q, a in cgs.assignments.items()}
 
 
 def action_path(cgs: CausalCgs, state: StateIndex) -> ActionPath:
@@ -368,44 +349,4 @@ def check_leaf_correspondence(cgs: CausalCgs) -> list[str]:
         forced.update(dict(action_path(cgs, leaf)))
         if not corresponds(cgs.assignments[leaf], cgs.origin.model, cgs.origin.context, forced):
             problems.append(f"leaf {leaf} does not match its action-path intervention")
-    return problems
-
-
-def check_transition_injectivity(cgs: CausalCgs) -> list[str]:
-    problems = []
-    for state in cgs.states:
-        if state.i == cgs.n_max:
-            continue
-        targets = [child for _, child in cgs.children[state]]
-        if len(targets) != len(set(targets)):
-            problems.append(f"distinct vectors at {state} share a target")
-    return problems
-
-
-def check_child_ranges(cgs: CausalCgs) -> list[str]:
-    problems = []
-    for state in cgs.states:
-        if state.i == cgs.n_max:
-            continue
-        width = len(cgs.children[state])
-        for _, child in cgs.children[state]:
-            low, high = state.j * width, state.j * width + width - 1
-            if not (low <= child.j <= high):
-                problems.append(f"child {child} of {state} outside [{low}, {high}]")
-    return problems
-
-
-def check_tree_shape(cgs: CausalCgs) -> list[str]:
-    problems = []
-    non_roots = [q for q in cgs.states if q != cgs.root]
-    for q in non_roots:
-        if q not in cgs.parent:
-            problems.append(f"{q} is unreachable")
-    incoming: dict[StateIndex, int] = {}
-    for (state, _vec), target in cgs.base.transition.items():
-        if target != state:
-            incoming[target] = incoming.get(target, 0) + 1
-    for q, count in incoming.items():
-        if count > 1:
-            problems.append(f"{q} has {count} incoming edges")
     return problems

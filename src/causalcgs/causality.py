@@ -80,7 +80,9 @@ class CauseCertificate:
         return forced
 
 
-def _subsets_by_size(names: Sequence[VariableId], max_size: Optional[int] = None) -> Iterable[tuple[VariableId, ...]]:
+def subsets_by_size(names: Sequence[VariableId], max_size: Optional[int] = None) -> Iterable[tuple[VariableId, ...]]:
+    """Every subset of names up to max_size elements, smallest first, each
+    size in combination (declaration) order; the empty subset comes first."""
     top = len(names) if max_size is None else min(max_size, len(names))
     for size in range(top + 1):
         yield from itertools.combinations(names, size)
@@ -100,16 +102,12 @@ def _dependence_search(
     it suffices), alternatives in domain-lexicographic order.
     """
     rest = [v for v in model.endo_names if v not in cause_vars]
-    domains = [model.domain[v] for v in cause_vars]
     truncated = max_witness_size is not None and max_witness_size < len(rest)
-    for witness_vars in _subsets_by_size(rest, max_witness_size):
-        frozen = {w: actual[w] for w in witness_vars}
-        for alt in itertools.product(*domains):
-            forced = dict(zip(cause_vars, alt))
-            forced.update(frozen)
-            if not satisfies(evaluate(model, context, forced), outcome):
-                witness = Witness(witness_vars, tuple(actual[w] for w in witness_vars))
-                return witness, alt
+    for witness_vars in subsets_by_size(rest, max_witness_size):
+        witness = Witness(witness_vars, tuple(actual[w] for w in witness_vars))
+        alt = dependence_with_witness(model, context, cause_vars, witness, outcome)
+        if alt is not None:
+            return witness, alt
     if truncated:
         warnings.warn(
             f"search truncated: witness sets capped at size {max_witness_size}",
@@ -158,10 +156,8 @@ def check_cause(
     found = _dependence_search(model, context, candidate.vars, outcome, actual, max_witness_size)
     if found is None:
         return None
-    for sub in _subsets_by_size(candidate.vars):
-        if not sub or len(sub) == len(candidate.vars):
-            continue
-        if _dependence_search(model, context, sub, outcome, actual, max_witness_size) is not None:
+    for sub in subsets_by_size(candidate.vars, len(candidate.vars) - 1):
+        if sub and _dependence_search(model, context, sub, outcome, actual, max_witness_size) is not None:
             return None  # a strict subset already suffices
     witness, alt = found
     return CauseCertificate(candidate, witness, alt, outcome)
@@ -191,7 +187,7 @@ def enumerate_causes(
     if max_cause_size is not None and max_cause_size < len(pool):
         warnings.warn(f"search truncated: cause sets capped at size {max_cause_size}", stacklevel=2)
     certificates: list[CauseCertificate] = []
-    for cause_vars in _subsets_by_size(pool, max_cause_size):
+    for cause_vars in subsets_by_size(pool, max_cause_size):
         if not cause_vars:
             continue
         candidate = CandidateCause(cause_vars, tuple(actual[v] for v in cause_vars))
@@ -202,7 +198,7 @@ def enumerate_causes(
             certificates.append(cert)
             continue
         rest = [v for v in model.endo_names if v not in cause_vars]
-        for witness_vars in _subsets_by_size(rest, max_witness_size):
+        for witness_vars in subsets_by_size(rest, max_witness_size):
             witness = Witness(witness_vars, tuple(actual[w] for w in witness_vars))
             alt = dependence_with_witness(model, context, cause_vars, witness, outcome)
             if alt is not None:

@@ -50,13 +50,6 @@ class Cgs:
     propositions: frozenset
     labels: Mapping[State, frozenset]
 
-    @property
-    def n_agents(self) -> int:
-        return len(self.agents)
-
-    def moves_of(self, agent: AgentId, state: State) -> tuple[Move, ...]:
-        return self.moves[(agent, state)]
-
 
 def legal_move_vectors(cgs: Cgs, state: State) -> list[tuple[Move, ...]]:
     """The move-vector product at a state, agents most significant first."""

@@ -9,7 +9,6 @@ emits a machine-readable report instead.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
@@ -30,12 +29,12 @@ from .builder import (
     corresponds,
     size_report,
 )
-from .causality import CandidateCause, CausalityError, Witness, enumerate_causes
+from .causality import CandidateCause, CausalityError, Witness, enumerate_causes, subsets_by_size
 from .cgs import play
 from .dsl import ModelDocument, ParseError, document_diagnostics, outcome_formula, parse_model
 from .export import cgs_payload, export_dot, export_json
 from .graph import RankingError, agent_ranking, build_network, variable_levels
-from .model import CausalModel, ModelError, evaluate
+from .model import ModelError, evaluate
 from .randgen import GeneratorConfig, random_model, random_true_event
 
 PROG = "causal-cgs"
@@ -178,6 +177,17 @@ def _cmd_rank(args, report: _Report) -> int:
 
 # --- build ------------------------------------------------------------------
 
+def _write_export(path: str, text: str, report: _Report) -> bool:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        report.say(_red(f"error: cannot write {path}: {exc.strerror}"))
+        report.payload["error"] = f"cannot write {path}"
+        return False
+    return True
+
+
 def _cmd_build(args, report: _Report) -> int:
     doc = _checked_document(args.file, report)
     if doc is None:
@@ -195,13 +205,13 @@ def _cmd_build(args, report: _Report) -> int:
         f" leaves: {rep.leaves}"
     )
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(export_dot(cgs))
+        if not _write_export(args.dot, export_dot(cgs), report):
+            return 1
         report.say(f"wrote DOT to {args.dot}")
         report.payload["dot_path"] = args.dot
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            handle.write(export_json(cgs))
+        if not _write_export(args.json_path, export_json(cgs), report):
+            return 1
         report.say(f"wrote JSON to {args.json_path}")
         report.payload["json_path"] = args.json_path
     return 0
@@ -296,11 +306,10 @@ def _cmd_bridge(args, report: _Report) -> int:
             raise ModelError(f"--cause names unknown endogenous variable {missing[0]}")
         candidates = [CandidateCause(vars_, tuple(given[v] for v in vars_))]
     else:
-        agents = model.agents_in_order
         candidates = [
             CandidateCause(subset, tuple(actual[v] for v in subset))
-            for size in range(1, len(agents) + 1)
-            for subset in itertools.combinations(agents, size)
+            for subset in subsets_by_size(model.agents_in_order)
+            if subset
         ]
 
     verdicts = []
@@ -316,8 +325,7 @@ def _cmd_bridge(args, report: _Report) -> int:
             pool = [v for v in model.endo_names if v not in set(candidate.vars)]
             witnesses = [
                 Witness(subset, tuple(actual[w] for w in subset))
-                for size in range(len(pool) + 1)
-                for subset in itertools.combinations(pool, size)
+                for subset in subsets_by_size(pool)
             ]
         for witness in witnesses:
             verdict = check_prop_cause_iff_strategy(model, context, candidate, witness, outcome)

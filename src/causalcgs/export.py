@@ -2,7 +2,8 @@
 
 Both renderers are deterministic: states sort by (depth, index), agents and
 variables keep declaration order, and the JSON text is byte-stable across
-runs for equal structures.
+runs for equal structures. Transitions come in the order the builder stored
+them: states by (depth, index), then move vectors in product order.
 """
 
 from __future__ import annotations
@@ -50,10 +51,8 @@ def export_dot(cgs: CausalCgs) -> str:
         lines.append(
             f'  {state.name()} [label="{state}\\n{_state_label_text(cgs, state)}"];'
         )
-    for state in sorted(cgs.states):
-        for vector, child in cgs.children.get(state, ()):
-            if child == state:
-                continue
+    for (state, vector), child in cgs.base.transition.items():
+        if child != state:
             lines.append(
                 f'  {state.name()} -> {child.name()} [label="{_vector_text(vector)}"];'
             )
@@ -92,8 +91,7 @@ def cgs_payload(cgs: CausalCgs) -> dict:
             "vector": [_json_move(m) for m in vector],
             "to": child.name(),
         }
-        for s in ordered
-        for vector, child in cgs.children[s]
+        for (s, vector), child in cgs.base.transition.items()
     ]
     ranks = {v: cgs.ranking.rho[v] for v in model.endo_names}
     origin = {

@@ -6,7 +6,6 @@ import oracle
 from model_strategies import models_with_context, values
 from causalcgs.bridge import (
     BridgeError,
-    FixedActionStrategy,
     causal_profile,
     check_prop_cause_iff_strategy,
     check_prop_superset_strategy,
@@ -76,13 +75,6 @@ def test_play_deviation_vehicle(vehicle, vehicle_context, vehicle_cgs):
     assert play_deviation(vehicle_cgs, vehicle, vehicle_context, {}) == q(2, 6)
 
 
-def test_play_deviation_accepts_strategy_objects(vehicle, vehicle_context, vehicle_cgs):
-    leaf = play_deviation(
-        vehicle_cgs, vehicle, vehicle_context, [FixedActionStrategy("ODS", "0")]
-    )
-    assert leaf == q(2, 5)
-
-
 def test_play_deviation_matches_intervened_evaluation(vehicle, vehicle_context, vehicle_cgs):
     leaf = play_deviation(vehicle_cgs, vehicle, vehicle_context, {"HD": "0", "DA": "1"})
     label = dict(vehicle_cgs.assignments[leaf])
@@ -94,13 +86,6 @@ def test_play_deviation_input_errors(vehicle, vehicle_context, vehicle_cgs):
         play_deviation(vehicle_cgs, vehicle, vehicle_context, {"Col": "1"})
     with pytest.raises(BridgeError):
         play_deviation(vehicle_cgs, vehicle, vehicle_context, {"DA": "9"})
-    with pytest.raises(BridgeError):
-        play_deviation(
-            vehicle_cgs,
-            vehicle,
-            vehicle_context,
-            [FixedActionStrategy("DA", "0"), FixedActionStrategy("DA", "1")],
-        )
 
 
 def _cand(model, context, *names):

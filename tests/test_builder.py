@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from model_strategies import models_with_context
+from tree_checks import check_child_ranges, check_transition_injectivity, check_tree_shape, children
 from causalcgs.builder import (
     BuilderError,
     SizeBoundError,
@@ -9,13 +10,9 @@ from causalcgs.builder import (
     action_path,
     build_causal_cgs,
     build_states,
-    check_child_ranges,
     check_leaf_correspondence,
     check_rank_stability,
-    check_transition_injectivity,
-    check_tree_shape,
     corresponds,
-    label_states,
     moves_at,
     size_report,
     transition,
@@ -177,16 +174,8 @@ def test_generating_intervention_shapes_labels(vehicle, vehicle_context):
     assert frozen.ranking.rho["DA"] == 3
     assert len(frozen.states) == 15
     # the accumulated action overrides the generating intervention
-    root_children = dict(frozen.children[frozen.root])
     label0 = frozen.assignments[frozen.base.transition[(frozen.root, ("0", NO_OP, NO_OP))]]
     assert label0["HD"] == "0"
-
-
-def test_label_states_wrapper(vehicle, vehicle_context, vehicle_cgs):
-    labels = label_states(vehicle, vehicle_context)
-    assert labels[q(0, 0)] == dict(vehicle_cgs.assignments[q(0, 0)])
-    labels[q(0, 0)]["Col"] = "tampered"
-    assert label_states(vehicle, vehicle_context)[q(0, 0)]["Col"] == "0"
 
 
 def test_size_bound_error_on_singleton_chain():
@@ -253,9 +242,10 @@ def test_descendants_cover_tree(mc):
 def test_legal_vectors_match_children(mc):
     model, context = mc
     cgs = build_causal_cgs(model, context, {})
+    edges = children(cgs)
     for state in cgs.states:
         vectors = list(legal_move_vectors(cgs.base, state))
         if state.i == cgs.n_max:
             assert vectors == [tuple(NO_OP for _ in cgs.agents)]
         else:
-            assert vectors == [vec for vec, _ in cgs.children[state]]
+            assert vectors == [vec for vec, _ in edges[state]]

@@ -75,6 +75,15 @@ def test_build_writes_exports(tmp_path, capsys):
     assert dot.read_text().count(" -> ") == 12
 
 
+@pytest.mark.parametrize("flag", ["--dot", "--json"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_build_reports_unwritable_export(tmp_path, capsys, flag, target):
+    path = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path
+    code, out = run(capsys, "build", VEHICLE, flag, str(path))
+    assert code == 1
+    assert f"error: cannot write {path}: " in out
+
+
 def test_build_with_intervention(capsys):
     code, out = run(capsys, "build", VEHICLE, "--intervene", "HD=1", "--format", "json")
     payload = json.loads(out)

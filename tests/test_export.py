@@ -1,5 +1,7 @@
 import json
+import os
 
+import pytest
 from hypothesis import given
 
 from model_strategies import models_with_context
@@ -72,6 +74,17 @@ def test_exports_are_deterministic(vehicle, vehicle_context, vehicle_cgs):
     rebuilt = build_causal_cgs(vehicle, dict(vehicle_context), {})
     assert export_dot(vehicle_cgs) == export_dot(rebuilt)
     assert export_json(vehicle_cgs) == export_json(rebuilt)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name, generating", [("vehicle", {}), ("vehicle_HD1", {"HD": "1"})])
+def test_exports_match_golden_bytes(vehicle_doc, name, generating):
+    cgs = build_causal_cgs(vehicle_doc.model, vehicle_doc.context, generating)
+    for suffix, text in ((".dot", export_dot(cgs)), (".json", export_json(cgs))):
+        with open(os.path.join(GOLDEN, name + suffix), "rb") as handle:
+            assert text.encode("utf-8") == handle.read(), name + suffix
 
 
 @given(models_with_context())
