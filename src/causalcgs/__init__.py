@@ -21,13 +21,10 @@ from .builder import (
     StateIndex,
     action_path,
     build_causal_cgs,
-    build_states,
     check_leaf_correspondence,
     check_rank_stability,
     corresponds,
-    moves_at,
     size_report,
-    transition,
 )
 from .causality import (
     CandidateCause,

@@ -1,10 +1,12 @@
 """Tree-shaped game structures built from a causal setting.
 
 Agents act in rank order: at depth i exactly the agents of rank i+1 pick a
-value from their variable's domain while everyone else plays NO_OP. A state
-q_{i,j} encodes the joint choices so far through its breadth index j, and
-its label is the full assignment obtained by forcing those choices as an
-intervention. Maximal-depth states loop back to themselves.
+value from their variable's domain while everyone else plays NO_OP. The
+builder makes one pass, depth by depth: the k-th move vector at q_{i,j}
+leads to q_{i+1, j*b_i+k}, where b_i counts the move vectors at depth i, and
+maximal-depth states loop back to themselves. A state's label is its entry
+in `CausalCgs.assignments`: the full assignment obtained by forcing the
+actions on its root path as an intervention.
 
 An optional generating intervention bakes extra forced values into every
 label (and into the dependency structure used for ranking), so the game for
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 from weakref import WeakKeyDictionary
 
 from .cgs import NO_OP, Cgs, Move, legal_move_vectors
@@ -105,69 +107,6 @@ class CausalCgs:
         return seen
 
 
-def _agents_by_rank(ranking: AgentRanking, model: CausalModel) -> dict[int, tuple[VariableId, ...]]:
-    out: dict[int, tuple[VariableId, ...]] = {}
-    for rank in range(1, ranking.n_max + 1):
-        out[rank] = tuple(a for a in model.agents_in_order if ranking.rho[a] == rank)
-    return out
-
-
-def _breadths(ranking: AgentRanking, model: CausalModel) -> list[int]:
-    """m_0..m_n: number of states per depth; m_i multiplies the domain sizes
-    of all agents with rank at most i."""
-    by_rank = _agents_by_rank(ranking, model)
-    ms = [1]
-    for rank in range(1, ranking.n_max + 1):
-        step = reduce(lambda acc, a: acc * len(model.domain[a]), by_rank[rank], 1)
-        ms.append(ms[-1] * step)
-    return ms
-
-
-def build_states(ranking: AgentRanking, model: CausalModel) -> tuple[StateIndex, ...]:
-    ms = _breadths(ranking, model)
-    states = [StateIndex(0, 0)]
-    for depth in range(1, ranking.n_max + 1):
-        states.extend(StateIndex(depth, j) for j in range(ms[depth]))
-    return tuple(states)
-
-
-def moves_at(
-    ranking: AgentRanking, model: CausalModel, state: StateIndex, agent: VariableId
-) -> tuple[Move, ...]:
-    """The agent's domain when its rank is up next, else only NO_OP."""
-    if ranking.rho[agent] == state.i + 1:
-        return tuple(model.domain[agent])
-    return (NO_OP,)
-
-
-def transition(
-    ranking: AgentRanking,
-    model: CausalModel,
-    state: StateIndex,
-    vector: Sequence[Move],
-) -> StateIndex:
-    """Child index: j' = j * b_i + (lexicographic index of the acting
-    agents' values, agents in declaration order, values in domain order).
-    Maximal-depth states map back to themselves."""
-    agents = model.agents_in_order
-    if len(vector) != len(agents):
-        raise BuilderError(f"move vector has {len(vector)} entries for {len(agents)} agents")
-    for agent, move in zip(agents, vector):
-        if move not in moves_at(ranking, model, state, agent):
-            raise BuilderError(f"illegal move {move!r} for {agent} at {state}")
-    if state.i == ranking.n_max:
-        return state
-    acting = [a for a in agents if ranking.rho[a] == state.i + 1]
-    index = 0
-    branching = 1
-    for agent in acting:
-        domain = model.domain[agent]
-        move = vector[agents.index(agent)]
-        index = index * len(domain) + domain.index(move)
-        branching *= len(domain)
-    return StateIndex(state.i + 1, state.j * branching + index)
-
-
 _CGS_CACHE: "WeakKeyDictionary[CausalModel, dict]" = WeakKeyDictionary()
 
 
@@ -187,66 +126,53 @@ def build_causal_cgs(
     diags = validate_model(model) + validate_context(model, context)
     if diags:
         raise BuilderError("; ".join(str(d) for d in diags))
-    endo = set(model.endo_names)
-    for name, value in generating.items():
-        if name not in endo:
-            raise BuilderError(f"generating intervention targets non-endogenous variable {name}")
-        if value not in model.domain[name]:
-            raise BuilderError(f"generating intervention value {name}={value!r} out of domain")
-
-    structural = intervened_model(model, generating)
+    try:
+        structural = intervened_model(model, generating)
+    except ModelError as exc:
+        raise BuilderError(f"generating {exc}") from None
     levels = variable_levels(build_network(structural), structural)
     ranking = agent_ranking(structural, levels)
     agents = model.agents_in_order
-    states = build_states(ranking, model)
 
     moves: dict[tuple[VariableId, StateIndex], tuple[Move, ...]] = {}
-    for state in states:
-        for agent in agents:
-            moves[(agent, state)] = moves_at(ranking, model, state, agent)
-
     # Exports walk this table in insertion order: states by (depth, index),
     # then move vectors in product order.
     transitions: dict[tuple[StateIndex, tuple[Move, ...]], StateIndex] = {}
     parent: dict[StateIndex, tuple[StateIndex, tuple[Move, ...]]] = {}
-    for state in states:
-        for vector in itertools.product(*(moves[(a, state)] for a in agents)):
-            target = transition(ranking, model, state, vector)
-            transitions[(state, vector)] = target
-            if target != state:
-                parent[target] = (state, vector)
-
-    accumulated: dict[StateIndex, dict[VariableId, Value]] = {StateIndex(0, 0): {}}
     assignments: dict[StateIndex, dict[VariableId, Value]] = {}
-    for state in states:  # parents precede children in depth order
-        if state != StateIndex(0, 0):
-            prev, vector = parent[state]
-            acc = dict(accumulated[prev])
-            acc.update(
-                (agent, move)
-                for agent, move in zip(agents, vector)
-                if move is not NO_OP
-            )
-            accumulated[state] = acc
-        assignments[state] = evaluate(model, context, {**generating, **accumulated[state]})
-
-    all_vars = model.exo_names + model.endo_names
-    propositions = frozenset(
-        (v, value) for v in all_vars for value in model.domain[v]
-    )
-    labels = {
-        state: frozenset((v, assignments[state][v]) for v in all_vars)
-        for state in states
-    }
+    # The intervention behind each state of the current depth, by index j:
+    # the generating one overridden by the actions on the path to the state.
+    forced: list[dict[VariableId, Value]] = [generating]
+    for depth in range(ranking.n_max + 1):
+        options = tuple(
+            model.domain[a] if ranking.rho[a] == depth + 1 else (NO_OP,) for a in agents
+        )
+        vectors = list(itertools.product(*options))
+        actions = [
+            {a: m for a, m in zip(agents, vector) if m is not NO_OP} for vector in vectors
+        ]
+        next_forced: list[dict[VariableId, Value]] = []
+        for j, intervention in enumerate(forced):
+            state = StateIndex(depth, j)
+            assignments[state] = evaluate(model, context, intervention)
+            for agent, opts in zip(agents, options):
+                moves[(agent, state)] = opts
+            if depth == ranking.n_max:  # a leaf: the all-NO_OP vector loops back
+                transitions[(state, vectors[0])] = state
+                continue
+            for k, vector in enumerate(vectors):
+                child = StateIndex(depth + 1, j * len(vectors) + k)
+                transitions[(state, vector)] = child
+                parent[child] = (state, vector)
+                next_forced.append({**intervention, **actions[k]})
+        forced = next_forced
 
     built = CausalCgs(
         base=Cgs(
             agents=agents,
-            states=states,
+            states=tuple(assignments),
             moves=moves,
             transition=transitions,
-            propositions=propositions,
-            labels=labels,
         ),
         ranking=ranking,
         agents=agents,

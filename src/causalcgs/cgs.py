@@ -47,8 +47,6 @@ class Cgs:
     states: tuple[State, ...]
     moves: Mapping[tuple[AgentId, State], tuple[Move, ...]]
     transition: Mapping[tuple[State, tuple[Move, ...]], State]
-    propositions: frozenset
-    labels: Mapping[State, frozenset]
 
 
 def legal_move_vectors(cgs: Cgs, state: State) -> list[tuple[Move, ...]]:
@@ -73,9 +71,6 @@ def validate_cgs(cgs: Cgs) -> list[str]:
             problems.append(f"transition defined for illegal vector {vec!r} at {state!r}")
         if target not in set(cgs.states):
             problems.append(f"transition target {target!r} is not a state")
-    for state, label in cgs.labels.items():
-        if not label <= cgs.propositions:
-            problems.append(f"label of {state!r} uses unknown propositions")
     return problems
 
 

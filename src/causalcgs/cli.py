@@ -198,7 +198,8 @@ def _cmd_build(args, report: _Report) -> int:
     intervention = _parse_assignments(args.intervene, "--intervene")
     cgs = build_causal_cgs(doc.model, context, intervention)
     rep = size_report(cgs)
-    report.payload.update(cgs_payload(cgs))
+    if report.fmt == "json":
+        report.payload.update(cgs_payload(cgs))
     report.payload["size"] = rep.as_dict()
     report.say(
         f"states: {rep.states} (bound {rep.bound}), transitions: {rep.transitions},"

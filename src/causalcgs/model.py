@@ -16,7 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union, get_args
 from weakref import WeakKeyDictionary
 
 VariableId = str
@@ -78,6 +78,7 @@ class Ite:
 
 
 Expression = Union[Const, Var, EqTest, Not, And, Or, Ite]
+_NODES = frozenset(get_args(Expression))
 
 # Event formulas are the Boolean fragment: EqTest / Not / And / Or only.
 EventFormula = Union[EqTest, Not, And, Or]
@@ -98,6 +99,28 @@ def free_variables(expr: Expression) -> frozenset[VariableId]:
     if isinstance(expr, Ite):
         return free_variables(expr.cond) | free_variables(expr.then) | free_variables(expr.orelse)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _flatten(value: object) -> tuple:
+    """Nested tuples and expression nodes as a flat token tuple, in pre-order
+    and without recursion: two values are equal iff their tuples are."""
+    tokens: list = []
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        kind = item.__class__
+        if kind is str:
+            tokens.append(item)
+            continue
+        tokens.append(kind)
+        if kind is tuple:
+            tokens.append(len(item))
+            stack.extend(reversed(item))
+        elif kind in _NODES:
+            stack.extend(reversed(item.__dict__.values()))
+        else:
+            tokens.append(item)
+    return tuple(tokens)
 
 
 def truth(value: Value) -> bool:
@@ -157,6 +180,21 @@ class CausalModel:
     endogenous: tuple[tuple[VariableId, tuple[Value, ...]], ...]
     equations: tuple[tuple[VariableId, Expression], ...]
     agent_vars: tuple[VariableId, ...] = ()
+
+    # The memo caches hash and compare models on every lookup. The generated
+    # methods recurse through the expression trees, past the recursion limit
+    # for deep ones; these use the equations' flat token tuple instead.
+    @cached_property
+    def _key(self) -> tuple:
+        return (self.exogenous, self.endogenous, self.agent_vars, _flatten(self.equations))
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._key == other._key
 
     @cached_property
     def exo_names(self) -> tuple[VariableId, ...]:
@@ -435,8 +473,9 @@ _EVAL_CACHE: "WeakKeyDictionary[CausalModel, dict]" = WeakKeyDictionary()
 
 
 def _check_intervention(model: CausalModel, intervention: Intervention) -> None:
+    endo = set(model.endo_names)
     for name, value in intervention.items():
-        if name not in set(model.endo_names):
+        if name not in endo:
             raise ModelError(f"intervention targets non-endogenous variable {name}")
         if value not in model.domain[name]:
             raise ModelError(f"intervention value {name}={value!r} out of domain")
@@ -448,15 +487,16 @@ def evaluate(model: CausalModel, context: Context, intervention: Intervention | 
     over exogenous + endogenous variables.
     """
     intervention = dict(intervention or {})
-    bad = validate_context(model, context)
-    if bad:
-        raise ModelError("; ".join(str(d) for d in bad))
-    _check_intervention(model, intervention)
-
     per_model = _EVAL_CACHE.setdefault(model, {})
     key = (tuple(sorted(context.items())), tuple(sorted(intervention.items())))
     hit = per_model.get(key)
     if hit is None:
+        # Validity depends only on the key, and a call that raises stores
+        # nothing, so a memo hit needs no check.
+        bad = validate_context(model, context)
+        if bad:
+            raise ModelError("; ".join(str(d) for d in bad))
+        _check_intervention(model, intervention)
         values: dict[VariableId, Value] = dict(context)
         values.update(intervention)
         for v in model.topo_order:

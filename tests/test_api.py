@@ -1,12 +1,18 @@
-"""The README's list of entry points matches the package."""
+"""The README's list of entry points, and the names the benchmark wraps,
+match the package."""
 
 import importlib
+import importlib.util
 import os
 import re
 
 import pytest
 
-README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+import causalcgs
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+README = os.path.join(ROOT, "README.md")
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 
 
 def _entry_points() -> list[tuple[str, str]]:
@@ -46,7 +52,32 @@ def test_readme_entry_point_resolves(module, name):
         ("causalcgs.builder", "check_child_ranges"),
         ("causalcgs.builder", "check_tree_shape"),
         ("causalcgs.bridge", "FixedActionStrategy"),
+        ("causalcgs", "build_states"),
+        ("causalcgs", "moves_at"),
+        ("causalcgs", "transition"),
+        ("causalcgs.builder", "build_states"),
+        ("causalcgs.builder", "moves_at"),
+        ("causalcgs.builder", "transition"),
     ],
 )
 def test_removed_names_stay_removed(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def _benchmark_entry_points():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return [(module, name) for module, name, _layer in tracing.ENTRY_POINTS]
+
+
+@pytest.mark.parametrize("module, name", _benchmark_entry_points())
+def test_benchmark_entry_point_resolves(module, name):
+    # The benchmark wraps these bindings; one that no longer resolves goes
+    # untraced there.
+    assert callable(getattr(getattr(causalcgs, module), name))
+
+
+def test_benchmark_reads_the_build_cache():
+    # The benchmark's own tests read how many builds this cache holds.
+    assert hasattr(causalcgs.builder, "_CGS_CACHE")

@@ -9,16 +9,12 @@ from causalcgs.builder import (
     StateIndex,
     action_path,
     build_causal_cgs,
-    build_states,
     check_leaf_correspondence,
     check_rank_stability,
     corresponds,
-    moves_at,
     size_report,
-    transition,
 )
 from causalcgs.cgs import NO_OP, legal_move_vectors
-from causalcgs.graph import agent_ranking, build_network, variable_levels
 from causalcgs.model import BOOL, Const, EqTest, Ite, Var, evaluate, make_model
 
 B = BOOL
@@ -113,13 +109,6 @@ def test_vehicle_size_report(vehicle_cgs):
     assert rep.as_dict() == {"states": 13, "transitions": 20, "leaves": 8, "bound": 16}
 
 
-def test_vehicle_propositions(vehicle, vehicle_cgs):
-    assert ("Col", "1") in vehicle_cgs.base.propositions
-    assert ("U_O", "0") in vehicle_cgs.base.propositions
-    for state in vehicle_cgs.states:
-        assert vehicle_cgs.base.labels[state] <= vehicle_cgs.base.propositions
-
-
 def test_vehicle_checks_clean(vehicle_cgs):
     assert check_rank_stability(vehicle_cgs) == []
     assert check_leaf_correspondence(vehicle_cgs) == []
@@ -142,27 +131,12 @@ def test_corresponds(vehicle, vehicle_context, vehicle_cgs):
     assert not corresponds(label5, vehicle, vehicle_context, {})
 
 
-def test_moves_at_standalone(vehicle):
-    net = build_network(vehicle)
-    ranking = agent_ranking(vehicle, variable_levels(net, vehicle))
-    assert moves_at(ranking, vehicle, q(0, 0), "HD") == ("0", "1")
-    assert moves_at(ranking, vehicle, q(0, 0), "DA") == (NO_OP,)
-    assert moves_at(ranking, vehicle, q(1, 0), "DA") == ("0", "1")
-    assert moves_at(ranking, vehicle, q(2, 0), "DA") == (NO_OP,)
-    assert build_states(ranking, vehicle) == tuple(
-        [q(0, 0)] + [q(1, j) for j in range(4)] + [q(2, j) for j in range(8)]
-    )
-
-
-def test_transition_rejects_bad_vectors(vehicle):
-    net = build_network(vehicle)
-    ranking = agent_ranking(vehicle, variable_levels(net, vehicle))
-    with pytest.raises(BuilderError):
-        transition(ranking, vehicle, q(0, 0), ("0", "0"))
-    with pytest.raises(BuilderError):
-        transition(ranking, vehicle, q(0, 0), ("0", "0", "1"))  # DA must idle
-    with pytest.raises(BuilderError):
-        transition(ranking, vehicle, q(0, 0), (NO_OP, "0", NO_OP))  # HD must act
+def test_vehicle_moves(vehicle_cgs):
+    moves = vehicle_cgs.base.moves
+    assert moves[("HD", q(0, 0))] == ("0", "1")
+    assert moves[("DA", q(0, 0))] == (NO_OP,)
+    assert moves[("DA", q(1, 0))] == ("0", "1")
+    assert moves[("DA", q(2, 0))] == (NO_OP,)
 
 
 def test_generating_intervention_shapes_labels(vehicle, vehicle_context):

@@ -28,14 +28,11 @@ def two_step_game():
             transition[(mid, (NO_OP, v))] = mid + "b" + v
     for leaf in ("a0b0", "a0b1", "a1b0", "a1b1"):
         transition[(leaf, (NO_OP, NO_OP))] = leaf
-    labels = {s: frozenset({("name", s)}) for s in states}
     return Cgs(
         agents=("a", "b"),
         states=states,
         moves=moves,
         transition=transition,
-        propositions=frozenset(("name", s) for s in states),
-        labels=labels,
     )
 
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from causalcgs import cli, export
 from causalcgs.cli import main
 
 VEHICLE = os.path.join(os.path.dirname(__file__), "..", "models", "vehicle.scm")
@@ -82,6 +83,21 @@ def test_build_reports_unwritable_export(tmp_path, capsys, flag, target):
     code, out = run(capsys, "build", VEHICLE, flag, str(path))
     assert code == 1
     assert f"error: cannot write {path}: " in out
+
+
+def test_text_build_makes_one_payload(tmp_path, capsys, monkeypatch):
+    made = []
+
+    def counting(cgs):
+        made.append(cgs)
+        return payload(cgs)
+
+    payload = export.cgs_payload
+    monkeypatch.setattr(export, "cgs_payload", counting)
+    monkeypatch.setattr(cli, "cgs_payload", counting)
+    code, _ = run(capsys, "build", VEHICLE, "--json", str(tmp_path / "v.json"))
+    assert code == 0
+    assert len(made) == 1  # the export's; the text report prints no payload
 
 
 def test_build_with_intervention(capsys):
@@ -188,3 +204,27 @@ def test_color_toggle(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CAUSAL_CGS_COLOR", "0")
     code, out = run(capsys, "validate", VEHICLE)
     assert "\x1b[" not in out
+
+
+def test_deep_expression_is_answered(tmp_path, capsys):
+    terms = " & ".join(["A"] * 500)
+    path = tmp_path / "deep.scm"
+    path.write_text(
+        "exogenous U in {0, 1}\n"
+        "agent A in {0, 1}\n"
+        "endogenous Out in {0, 1}\n"
+        "eq A := U\n"
+        f"eq Out := {terms}\n"
+        "outcome hit : Out\n"
+        "context U = 1\n"
+    )
+    for argv in (
+        ["validate"],
+        ["causes", "--outcome", "hit", "--agents-only"],
+        ["build"],
+        ["bridge", "--outcome", "hit"],
+    ):
+        code = main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 0, argv
+        assert "Traceback" not in captured.out + captured.err

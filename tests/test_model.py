@@ -98,6 +98,19 @@ def test_out_of_domain_intervention_rejected(vehicle, vehicle_context):
         evaluate(vehicle, vehicle_context, {"DA": "2"})
 
 
+def test_bad_input_raises_after_a_memo_hit(vehicle, vehicle_context):
+    evaluate(vehicle, vehicle_context, {"DA": "1"})  # warm the memo
+    for context, intervention in [
+        ({"U_O": "1"}, {}),
+        ({"U_O": "1", "U_Att": "7"}, {"DA": "1"}),
+        (vehicle_context, {"U_O": "0"}),
+        (vehicle_context, {"DA": "2"}),
+    ]:
+        for _ in range(2):
+            with pytest.raises(ModelError):
+                evaluate(vehicle, context, intervention)
+
+
 def test_context_must_be_total_and_in_domain(vehicle):
     assert validate_context(vehicle, {"U_O": "1", "U_Att": "0"}) == []
     assert validate_context(vehicle, {"U_O": "1"}) != []
@@ -209,6 +222,20 @@ def test_bad_name_reported():
 def test_empty_domain_reported():
     m = make_model({"U": ()}, {"X": B}, {"X": Const("0")})
     assert any(d.code == "empty-domain" for d in validate_model(m))
+
+
+def test_model_equality_and_hash_survive_deep_expressions():
+    def model(depth, leaf="U"):
+        expr = Var(leaf)
+        for _ in range(depth):
+            expr = And(expr, Var("U"))
+        return make_model({"U": B}, {"X": B}, {"X": expr}, agents=("X",))
+
+    deep, twin = model(5000), model(5000)
+    assert deep is not twin and deep == twin and hash(deep) == hash(twin)
+    assert deep != model(4999)
+    assert deep != model(5000, leaf="X")
+    assert model(2) != intervened_model(model(2), {"X": "1"})
 
 
 def test_free_variables():
