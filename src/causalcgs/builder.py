@@ -11,6 +11,9 @@ actions on its root path as an intervention.
 An optional generating intervention bakes extra forced values into every
 label (and into the dependency structure used for ranking), so the game for
 an already-intervened setting comes out of the same code path.
+
+A model is validated at its first build; the context, and the generating
+intervention, at every build that misses the cache.
 """
 
 from __future__ import annotations
@@ -117,13 +120,16 @@ def build_causal_cgs(
 ) -> CausalCgs:
     """Assemble states, moves, transitions, and labels for a setting."""
     generating = dict(generating or {})
-    per_model = _CGS_CACHE.setdefault(model, {})
+    per_model = _CGS_CACHE.get(model)
     key = (tuple(sorted(context.items())), tuple(sorted(generating.items())))
-    hit = per_model.get(key)
+    hit = per_model.get(key) if per_model is not None else None
     if hit is not None:
         return hit
 
-    diags = validate_model(model) + validate_context(model, context)
+    # A model gets its cache entry with its first finished build, so an entry
+    # means the model passed validation; until then every build checks it.
+    diags = [] if per_model is not None else validate_model(model)
+    diags += validate_context(model, context)
     if diags:
         raise BuilderError("; ".join(str(d) for d in diags))
     try:
@@ -180,7 +186,7 @@ def build_causal_cgs(
         parent=parent,
         assignments=assignments,
     )
-    per_model[key] = built
+    _CGS_CACHE.setdefault(model, {})[key] = built
     return built
 
 
@@ -206,9 +212,10 @@ def corresponds(
     context: Context,
     intervention: Intervention,
 ) -> bool:
-    """Variable-by-variable agreement with the intervened setting's values."""
-    target = evaluate(intervened_model(model, intervention), context, {})
-    return dict(state_label) == target
+    """Variable-by-variable agreement with the intervened setting's values:
+    `evaluate` under the intervention, which sets the forced variables and
+    solves the remaining equations; no equation surgery, no new model."""
+    return dict(state_label) == evaluate(model, context, intervention)
 
 
 @dataclass(frozen=True)

@@ -147,9 +147,10 @@ def play(
     history: list[State] = [start]
     for _ in range(max_steps):
         state = history[-1]
+        seen = tuple(history)
         vector = []
         for agent in cgs.agents:
-            move = profile.strategies[agent].choose(tuple(history))
+            move = profile.strategies[agent].choose(seen)
             if move not in cgs.moves[(agent, state)]:
                 raise CgsError(f"strategy of {agent!r} chose illegal move {move!r} at {state!r}")
             vector.append(move)

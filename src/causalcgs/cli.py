@@ -497,6 +497,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         report.say(_red(f"error: {exc}"))
         report.payload["error"] = str(exc)
         code = 1
+    except RecursionError:
+        # Parsing, validation and evaluation walk expressions
+        # recursively; a deep enough one gets this answer, not a traceback.
+        report.say(_red("error: expression nested too deeply"))
+        report.payload["error"] = "expression nested too deeply"
+        code = 1
     report.emit()
     return code
 

@@ -183,13 +183,18 @@ class CausalModel:
 
     # The memo caches hash and compare models on every lookup. The generated
     # methods recurse through the expression trees, past the recursion limit
-    # for deep ones; these use the equations' flat token tuple instead.
+    # for deep ones; these use the equations' flat token tuple instead, and
+    # hash it once per model.
     @cached_property
     def _key(self) -> tuple:
         return (self.exogenous, self.endogenous, self.agent_vars, _flatten(self.equations))
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash(self._key)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

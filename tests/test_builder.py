@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
-from model_strategies import models_with_context
+from model_strategies import models_with_context, values
 from tree_checks import check_child_ranges, check_transition_injectivity, check_tree_shape, children
+from causalcgs import builder
 from causalcgs.builder import (
     BuilderError,
     SizeBoundError,
@@ -15,7 +17,16 @@ from causalcgs.builder import (
     size_report,
 )
 from causalcgs.cgs import NO_OP, legal_move_vectors
-from causalcgs.model import BOOL, Const, EqTest, Ite, Var, evaluate, make_model
+from causalcgs.model import (
+    BOOL,
+    Const,
+    EqTest,
+    Ite,
+    Var,
+    evaluate,
+    intervened_model,
+    make_model,
+)
 
 B = BOOL
 
@@ -131,6 +142,18 @@ def test_corresponds(vehicle, vehicle_context, vehicle_cgs):
     assert not corresponds(label5, vehicle, vehicle_context, {})
 
 
+@given(models_with_context(), st.data())
+def test_corresponds_matches_surgery(mc, data):
+    model, context = mc
+    endo = list(model.endo_names)
+    forced = data.draw(st.dictionaries(st.sampled_from(endo), values, max_size=3))
+    label = evaluate(intervened_model(model, forced), context)
+    assert corresponds(label, model, context, forced)
+    flipped = data.draw(st.sampled_from(endo))
+    label[flipped] = "1" if label[flipped] == "0" else "0"
+    assert not corresponds(label, model, context, forced)
+
+
 def test_vehicle_moves(vehicle_cgs):
     moves = vehicle_cgs.base.moves
     assert moves[("HD", q(0, 0))] == ("0", "1")
@@ -174,6 +197,26 @@ def test_build_rejects_invalid_inputs(vehicle):
         build_causal_cgs(vehicle, {"U_O": "1"}, {})
     with pytest.raises(BuilderError):
         build_causal_cgs(vehicle, {"U_O": "1", "U_Att": "0"}, {"U_O": "0"})
+
+
+def test_invalid_model_is_never_cached():
+    missing = make_model({"U": B}, {"X": B, "Y": B}, {"X": Var("U")}, agents=("X",))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(BuilderError) as err:
+            build_causal_cgs(missing, {"U": "1"}, {})
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "endogenous variable Y has no equation" in messages[0]
+    assert missing not in builder._CGS_CACHE
+
+
+def test_built_model_still_checks_the_context(vehicle, vehicle_context, vehicle_cgs):
+    assert vehicle in builder._CGS_CACHE
+    with pytest.raises(BuilderError, match="no context value for exogenous U_Att"):
+        build_causal_cgs(vehicle, {"U_O": "1"}, {})
+    with pytest.raises(BuilderError, match="not in domain"):
+        build_causal_cgs(vehicle, {**vehicle_context, "U_O": "2"}, {})
 
 
 def test_build_is_memoized(vehicle, vehicle_context, vehicle_cgs):

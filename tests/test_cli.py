@@ -1,9 +1,11 @@
 import json
 import os
+import sys
+from weakref import WeakKeyDictionary
 
 import pytest
 
-from causalcgs import cli, export
+from causalcgs import bridge, builder, cli, export
 from causalcgs.cli import main
 
 VEHICLE = os.path.join(os.path.dirname(__file__), "..", "models", "vehicle.scm")
@@ -206,25 +208,71 @@ def test_color_toggle(tmp_path, capsys, monkeypatch):
     assert "\x1b[" not in out
 
 
-def test_deep_expression_is_answered(tmp_path, capsys):
-    terms = " & ".join(["A"] * 500)
+def _deep_model(tmp_path, terms):
+    chain = " & ".join(["A"] * terms)
     path = tmp_path / "deep.scm"
     path.write_text(
         "exogenous U in {0, 1}\n"
         "agent A in {0, 1}\n"
         "endogenous Out in {0, 1}\n"
         "eq A := U\n"
-        f"eq Out := {terms}\n"
+        f"eq Out := {chain}\n"
         "outcome hit : Out\n"
         "context U = 1\n"
     )
-    for argv in (
-        ["validate"],
-        ["causes", "--outcome", "hit", "--agents-only"],
-        ["build"],
-        ["bridge", "--outcome", "hit"],
-    ):
-        code = main([argv[0], str(path), *argv[1:]])
+    return str(path)
+
+
+MODEL_COMMANDS = (
+    ["validate"],
+    ["causes", "--outcome", "hit", "--agents-only"],
+    ["build"],
+    ["bridge", "--outcome", "hit"],
+)
+
+
+def test_deep_expression_is_answered(tmp_path, capsys):
+    path = _deep_model(tmp_path, 500)
+    for argv in MODEL_COMMANDS:
+        code = main([argv[0], path, *argv[1:]])
         captured = capsys.readouterr()
         assert code == 0, argv
         assert "Traceback" not in captured.out + captured.err
+
+
+def test_too_deep_expression_is_a_clean_error(tmp_path, capsys):
+    path = _deep_model(tmp_path, 2 * sys.getrecursionlimit())
+    for argv in MODEL_COMMANDS:
+        code = main([argv[0], path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert "error: expression nested too deeply" in captured.out, argv
+        assert "Traceback" not in captured.err
+        code, out = run(capsys, argv[0], path, *argv[1:], "--format", "json")
+        assert code == 1, argv
+        assert json.loads(out) == {"error": "expression nested too deeply"}
+
+
+def test_bridge_builds_no_model_per_play(capsys, monkeypatch):
+    calls = {"intervened_model": 0, "validate_model": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for module in (builder, bridge):
+        monkeypatch.setattr(
+            module, "intervened_model", counted("intervened_model", module.intervened_model)
+        )
+    monkeypatch.setattr(
+        builder, "validate_model", counted("validate_model", builder.validate_model)
+    )
+    monkeypatch.setattr(builder, "_CGS_CACHE", WeakKeyDictionary())  # no earlier builds
+    code, out = run(capsys, "bridge", VEHICLE, "--outcome", "no_collision")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "171/171 verdicts agree"
+    assert calls == {"intervened_model": 56, "validate_model": 1}
+    assert sum(len(built) for built in builder._CGS_CACHE.values()) == 56

@@ -3,7 +3,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import oracle
+from conftest import VEHICLE_PATH
 from model_strategies import models, models_with_context, values
+from causalcgs.dsl import parse_checked
 from causalcgs.model import (
     BOOL,
     And,
@@ -236,6 +238,13 @@ def test_model_equality_and_hash_survive_deep_expressions():
     assert deep != model(4999)
     assert deep != model(5000, leaf="X")
     assert model(2) != intervened_model(model(2), {"X": "1"})
+
+
+def test_separate_parses_hash_alike():
+    with open(VEHICLE_PATH, "r", encoding="utf-8") as handle:
+        source = handle.read()
+    first, second = parse_checked(source).model, parse_checked(source).model
+    assert first is not second and hash(first) == hash(second)
 
 
 def test_free_variables():
