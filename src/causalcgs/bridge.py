@@ -100,8 +100,19 @@ def play_deviation(
 
     The reached state is asserted to agree with evaluating the model under
     the fixed actions (on top of the structure's generating intervention)."""
-    fixed_map = _normalize_fixed(cgs, fixed)
-    base_profile = causal_profile(model, context, cgs)
+    return _play_fixed(
+        cgs, model, context, _normalize_fixed(cgs, fixed), causal_profile(model, context, cgs)
+    )
+
+
+def _play_fixed(
+    cgs: CausalCgs,
+    model: CausalModel,
+    context: Context,
+    fixed_map: Mapping[VariableId, Value],
+    base_profile: StrategyProfile,
+) -> StateIndex:
+    """play_deviation against a model-following profile the caller built."""
     deviating = StrategyProfile(
         {a: fixed_action_strategy(cgs.base, a, v) for a, v in fixed_map.items()}
     )
@@ -178,10 +189,11 @@ def _search_strategies(
     outcome: EventFormula,
 ) -> StrategySide:
     domains = [model.domain[v] for v in candidate.vars]
+    profile = causal_profile(model, context, cgs)
     for alt in itertools.product(*domains):
         fixed = dict(zip(candidate.vars, alt))
         fixed.update(pinned)
-        leaf = play_deviation(cgs, model, context, fixed)
+        leaf = _play_fixed(cgs, model, context, _normalize_fixed(cgs, fixed), profile)
         if not satisfies(cgs.assignments[leaf], outcome):
             return StrategySide(
                 coalition=coalition,

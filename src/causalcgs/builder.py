@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 from weakref import WeakKeyDictionary
 
 from .cgs import NO_OP, Cgs, Move, legal_move_vectors
@@ -48,8 +48,10 @@ class SizeBoundError(BuilderError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class StateIndex:
+class StateIndex(NamedTuple):
+    """A state q_{i,j}; a plain tuple, so hashing, equality and the (i, j)
+    ordering run in C on every transition lookup and play step."""
+
     i: int  # rank depth, 0 at the root
     j: int  # breadth index, 0 <= j < m_i
 

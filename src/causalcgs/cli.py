@@ -9,6 +9,7 @@ emits a machine-readable report instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -242,23 +243,25 @@ def _cmd_causes(args, report: _Report) -> int:
         cause_pairs = list(zip(cert.cause.vars, cert.cause.actual_values))
         witness_pairs = list(zip(cert.witness.vars, cert.witness.values))
         alt_pairs = list(zip(cert.cause.vars, cert.alternative))
-        records.append(
-            {
-                "cause": dict(cause_pairs),
-                "witness": dict(witness_pairs),
-                "alternative": dict(alt_pairs),
-                "butfor": not cert.witness.vars,
-            }
-        )
-        report.say(
-            f"cause {_format_pairs(cause_pairs)}"
-            f"  witness {_format_pairs(witness_pairs)}"
-            f"  alternative {_format_pairs(alt_pairs)}"
-        )
+        if report.fmt == "json":
+            records.append(
+                {
+                    "cause": dict(cause_pairs),
+                    "witness": dict(witness_pairs),
+                    "alternative": dict(alt_pairs),
+                    "butfor": not cert.witness.vars,
+                }
+            )
+        else:
+            report.say(
+                f"cause {_format_pairs(cause_pairs)}"
+                f"  witness {_format_pairs(witness_pairs)}"
+                f"  alternative {_format_pairs(alt_pairs)}"
+            )
     report.payload["outcome"] = args.outcome
     report.payload["causes"] = records
     label = "but-for cause(s)" if args.butfor else "cause(s)"
-    report.say(f"{len(records)} {label} of outcome {args.outcome}")
+    report.say(f"{len(certificates)} {label} of outcome {args.outcome}")
     return 0
 
 
@@ -286,6 +289,15 @@ def _verdict_line(candidate, witness, verdict) -> str:
     return (
         f"{verdict.kind}: X={x} W={w} dependence={cause} strategy={strat} {agree}"
     )
+
+
+def _report_verdict(report: _Report, records: list[dict], candidate, witness, verdict) -> None:
+    """Only the chosen format's output is built: a record for JSON, a line
+    for text."""
+    if report.fmt == "json":
+        records.append(_verdict_record(verdict))
+    else:
+        report.say(_verdict_line(candidate, witness, verdict))
 
 
 def _cmd_bridge(args, report: _Report) -> int:
@@ -331,16 +343,14 @@ def _cmd_bridge(args, report: _Report) -> int:
         for witness in witnesses:
             verdict = check_prop_cause_iff_strategy(model, context, candidate, witness, outcome)
             verdicts.append(verdict)
-            records.append(_verdict_record(verdict))
-            report.say(_verdict_line(candidate, witness, verdict))
+            _report_verdict(report, records, candidate, witness, verdict)
             in_agents = set(candidate.vars) | set(witness.vars) <= model.agent_set
             if in_agents:
                 verdict2 = check_prop_superset_strategy(
                     model, context, candidate, witness, outcome
                 )
                 verdicts.append(verdict2)
-                records.append(_verdict_record(verdict2))
-                report.say(_verdict_line(candidate, witness, verdict2))
+                _report_verdict(report, records, candidate, witness, verdict2)
 
     agreeing = sum(1 for v in verdicts if v.agree)
     report.payload["outcome"] = args.outcome
@@ -436,7 +446,9 @@ def _cmd_selftest(args, report: _Report) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Finite-domain causal models: validation, ranking, game-structure"

@@ -589,12 +589,21 @@ def intervened_model(model: CausalModel, intervention: Intervention) -> CausalMo
     new_eqs = tuple(
         (v, Const(intervention[v]) if v in intervention else e) for v, e in model.equations
     )
-    return CausalModel(
+    new = CausalModel(
         exogenous=model.exogenous,
         endogenous=model.endogenous,
         equations=new_eqs,
         agent_vars=model.agent_vars,
     )
+    # Fill the cached parent sets from the source's: a constant has no free
+    # variables and every other equation is the source's, so the expressions
+    # need no second walk.
+    for attr in ("endo_parents", "exo_parents"):
+        new.__dict__[attr] = {
+            v: frozenset() if v in intervention else ps
+            for v, ps in getattr(model, attr).items()
+        }
+    return new
 
 
 def all_contexts(model: CausalModel) -> list[dict[VariableId, Value]]:

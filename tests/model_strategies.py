@@ -1,8 +1,11 @@
 """Hypothesis strategies for small binary causal models."""
 
+import random
+
 import hypothesis.strategies as st
 
 from causalcgs.model import BOOL, And, Const, EqTest, Ite, Not, Or, Var, make_model
+from causalcgs.randgen import random_model
 
 values = st.sampled_from(BOOL)
 
@@ -56,5 +59,13 @@ def models(draw, max_endogenous=4):
 @st.composite
 def models_with_context(draw, max_endogenous=4):
     model = draw(models(max_endogenous=max_endogenous))
+    context = {u: draw(values) for u in model.exo_names}
+    return model, context
+
+
+@st.composite
+def randgen_models_with_context(draw):
+    """A `randgen` model drawn from a hypothesis-chosen seed, with a context."""
+    model = random_model(random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1))))
     context = {u: draw(values) for u in model.exo_names}
     return model, context

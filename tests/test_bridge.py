@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 import oracle
-from model_strategies import models_with_context, values
+from model_strategies import models_with_context, randgen_models_with_context, values
 from causalcgs.bridge import (
     BridgeError,
     causal_profile,
@@ -15,7 +17,7 @@ from causalcgs.bridge import (
 )
 from causalcgs.builder import StateIndex, build_causal_cgs
 from causalcgs.causality import CandidateCause, Witness, check_cause
-from causalcgs.cgs import NO_OP, play
+from causalcgs.cgs import NO_OP, StrategyProfile, fixed_action_strategy, play
 from causalcgs.model import EqTest, Not, evaluate, satisfies
 
 NO_COLLISION = Not(EqTest("Col", "1"))
@@ -223,3 +225,64 @@ def test_random_verdicts_agree_and_match_oracle(mc, data):
     witness_a = Witness(wa, tuple(actual[w] for w in wa))
     verdict2 = check_prop_superset_strategy(model, context, candidate, witness_a, outcome)
     assert verdict2.agree
+
+
+def _reference_leaf(cgs, model, context, fixed):
+    """A deviation play built anew: a fresh model-following profile, with
+    a fresh fixed-action strategy for each fixed agent."""
+    strategies = dict(causal_profile(model, context, cgs).strategies)
+    for agent, value in fixed.items():
+        strategies[agent] = fixed_action_strategy(cgs.base, agent, value)
+    return play(cgs.base, cgs.root, StrategyProfile(strategies))[-1]
+
+
+def _reference_search(cgs, model, context, candidate, pinned, outcome):
+    """The first alternative, in product order, whose reference play
+    falsifies the outcome, as (sorted fixed values, leaf); None if none."""
+    for alt in itertools.product(*(model.domain[v] for v in candidate.vars)):
+        fixed = {**dict(zip(candidate.vars, alt)), **pinned}
+        leaf = _reference_leaf(cgs, model, context, fixed)
+        if not satisfies(cgs.assignments[leaf], outcome):
+            return tuple(sorted(fixed.items())), leaf
+    return None
+
+
+def _found(verdict):
+    side = verdict.strategy_side
+    return (side.fixed_values, side.leaf) if side.positive else None
+
+
+@given(randgen_models_with_context(), st.data())
+def test_deviation_plays_match_reference_plays(mc, data):
+    model, context = mc
+    actual = evaluate(model, context)
+    agents = list(model.agents_in_order)
+    size = data.draw(st.integers(min_value=1, max_value=len(agents)))
+    members = data.draw(st.lists(st.sampled_from(agents), min_size=size, max_size=size, unique=True))
+    cand_vars = tuple(v for v in agents if v in members)
+    candidate = CandidateCause(cand_vars, tuple(actual[v] for v in cand_vars))
+    outcome_var = data.draw(st.sampled_from(list(model.endo_names)))
+    outcome = EqTest(outcome_var, actual[outcome_var])
+
+    # fixed-witness: the candidate alone, in the game built under the witness
+    pool = [v for v in model.endo_names if v not in cand_vars]
+    w_vars = tuple(v for v in pool if data.draw(st.booleans()))
+    witness = Witness(w_vars, tuple(actual[w] for w in w_vars))
+    cgs = build_causal_cgs(model, context, witness.as_mapping())
+    for alt in itertools.product(*(model.domain[v] for v in cand_vars)):
+        fixed = dict(zip(cand_vars, alt))
+        assert play_deviation(cgs, model, context, fixed) == _reference_leaf(cgs, model, context, fixed)
+    verdict = check_prop_cause_iff_strategy(model, context, candidate, witness, outcome)
+    assert _found(verdict) == _reference_search(cgs, model, context, candidate, {}, outcome)
+
+    # superset coalition: witness agents pinned at their actual values
+    pinned = {v: actual[v] for v in agents if v not in cand_vars and data.draw(st.booleans())}
+    plain = build_causal_cgs(model, context, {})
+    for alt in itertools.product(*(model.domain[v] for v in cand_vars)):
+        fixed = {**dict(zip(cand_vars, alt)), **pinned}
+        assert play_deviation(plain, model, context, fixed) == _reference_leaf(plain, model, context, fixed)
+    pinned_vars = tuple(v for v in model.endo_names if v in pinned)
+    verdict = check_prop_superset_strategy(
+        model, context, candidate, Witness(pinned_vars, tuple(pinned[v] for v in pinned_vars)), outcome
+    )
+    assert _found(verdict) == _reference_search(plain, model, context, candidate, pinned, outcome)

@@ -46,11 +46,18 @@ def test_state_index_naming():
     assert q(1, 2).name() == "q_1_2"
     assert str(q(1, 2)) == "q_{1,2}"
     assert q(0, 0) < q(1, 0) < q(1, 1) < q(2, 0)
+    assert repr(q(1, 2)) == "StateIndex(i=1, j=2)"
+    assert (q(1, 2).i, q(1, 2).j) == (1, 2)
+    # a plain (i, j) tuple: C hashing and equality, no per-state __dict__
+    assert q(1, 2) == (1, 2) and hash(q(1, 2)) == hash((1, 2))
+    assert not hasattr(q(1, 2), "__dict__")
+    assert sorted([q(2, 0), q(1, 3), q(1, 1), q(0, 0)]) == [q(0, 0), q(1, 1), q(1, 3), q(2, 0)]
 
 
 def test_vehicle_state_set(vehicle_cgs):
     expected = [q(0, 0)] + [q(1, j) for j in range(4)] + [q(2, j) for j in range(8)]
     assert list(vehicle_cgs.states) == expected
+    assert list(vehicle_cgs.states) == sorted(vehicle_cgs.states)
 
 
 def test_vehicle_root_transitions(vehicle_cgs):

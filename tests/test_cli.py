@@ -276,3 +276,34 @@ def test_bridge_builds_no_model_per_play(capsys, monkeypatch):
     assert out.strip().splitlines()[-1] == "171/171 verdicts agree"
     assert calls == {"intervened_model": 56, "validate_model": 1}
     assert sum(len(built) for built in builder._CGS_CACHE.values()) == 56
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+REPORTS = (
+    ("vehicle_bridge", ["bridge", VEHICLE, "--outcome", "no_collision"]),
+    ("vehicle_causes", ["causes", VEHICLE, "--outcome", "no_collision"]),
+    ("vehicle_causes_agents_only", ["causes", VEHICLE, "--outcome", "no_collision", "--agents-only"]),
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name, argv", REPORTS, ids=[name for name, _ in REPORTS])
+def test_reports_match_golden_bytes(capsys, monkeypatch, name, argv, fmt):
+    monkeypatch.delenv("CAUSAL_CGS_COLOR", raising=False)
+    code, out = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"{name}.{'txt' if fmt == 'text' else 'json'}"), "rb") as handle:
+        assert out.encode("utf-8") == handle.read()
+
+
+def test_calls_in_one_process_share_no_options(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    code, out = run(capsys, "build", VEHICLE, "--intervene", "HD=1", "--format", "json")
+    assert code == 0 and json.loads(out)["origin"]["intervention"] == {"HD": "1"}
+    code, out = run(capsys, "build", VEHICLE, "--format", "json")
+    assert code == 0 and json.loads(out)["origin"]["intervention"] == {}
+    assert len(json.loads(out)["states"]) == 13
+    code, out = run(capsys, "bridge", VEHICLE, "--outcome", "no_collision", "--cause", "DA=0")
+    assert code == 0 and out.strip().splitlines()[-1] == "36/36 verdicts agree"
+    code, out = run(capsys, "bridge", VEHICLE, "--outcome", "no_collision")
+    assert code == 0 and out.strip().splitlines()[-1] == "171/171 verdicts agree"

@@ -4,8 +4,9 @@ import hypothesis.strategies as st
 
 import oracle
 from conftest import VEHICLE_PATH
-from model_strategies import models, models_with_context, values
+from model_strategies import models, models_with_context, randgen_models_with_context, values
 from causalcgs.dsl import parse_checked
+from causalcgs.graph import agent_ranking, build_network, variable_levels
 from causalcgs.model import (
     BOOL,
     And,
@@ -143,6 +144,29 @@ def test_intervention_effectiveness(mc, data):
     target = data.draw(st.sampled_from(list(model.endo_names)))
     value = data.draw(values)
     assert evaluate(model, context, {target: value})[target] == value
+
+
+@given(randgen_models_with_context(), st.data())
+def test_intervened_model_inherits_parent_sets(mc, data):
+    model, _ = mc
+    endo = list(model.endo_names)
+    forced = data.draw(st.dictionaries(st.sampled_from(endo), values, max_size=len(endo)))
+    source_parents = (dict(model.endo_parents), dict(model.exo_parents))
+    surgered = intervened_model(model, forced)
+    fresh = CausalModel(  # the same fields, nothing carried over
+        exogenous=surgered.exogenous,
+        endogenous=surgered.endogenous,
+        equations=surgered.equations,
+        agent_vars=surgered.agent_vars,
+    )
+    assert list(surgered.endo_parents.items()) == list(fresh.endo_parents.items())
+    assert list(surgered.exo_parents.items()) == list(fresh.exo_parents.items())
+    assert surgered.topo_order == fresh.topo_order
+    assert build_network(surgered) == build_network(fresh)
+    levels = variable_levels(build_network(fresh), fresh)
+    assert variable_levels(build_network(surgered), surgered) == levels
+    assert agent_ranking(surgered, levels) == agent_ranking(fresh, levels)
+    assert (model.endo_parents, model.exo_parents) == source_parents
 
 
 def test_cycle_detected():
