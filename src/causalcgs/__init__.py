@@ -48,7 +48,7 @@ from .cgs import (
     play,
     validate_cgs,
 )
-from .cli import cli_main, main
+from .cli import main
 from .dsl import (
     ModelDocument,
     ParseError,

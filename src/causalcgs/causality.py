@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import (
     CausalModel,
@@ -37,11 +37,6 @@ class CandidateCause:
     vars: tuple[VariableId, ...]
     actual_values: tuple[Value, ...]
 
-    @staticmethod
-    def at_actual(model: CausalModel, context: Context, vars: Sequence[VariableId]) -> "CandidateCause":
-        actual = evaluate(model, context)
-        return CandidateCause(tuple(vars), tuple(actual[v] for v in vars))
-
     def as_mapping(self) -> dict[VariableId, Value]:
         return dict(zip(self.vars, self.actual_values))
 
@@ -52,15 +47,6 @@ class Witness:
 
     vars: tuple[VariableId, ...]
     values: tuple[Value, ...]
-
-    @staticmethod
-    def empty() -> "Witness":
-        return Witness((), ())
-
-    @staticmethod
-    def at_actual(model: CausalModel, context: Context, vars: Sequence[VariableId]) -> "Witness":
-        actual = evaluate(model, context)
-        return Witness(tuple(vars), tuple(actual[v] for v in vars))
 
     def as_mapping(self) -> dict[VariableId, Value]:
         return dict(zip(self.vars, self.values))
@@ -88,32 +74,65 @@ def subsets_by_size(names: Sequence[VariableId], max_size: Optional[int] = None)
         yield from itertools.combinations(names, size)
 
 
-def _dependence_search(
+_Hit = tuple[Witness, tuple[Value, ...]]  # a witness and its first alternative
+
+
+def _witness_hits(
     model: CausalModel,
     context: Context,
     cause_vars: tuple[VariableId, ...],
     outcome: EventFormula,
     actual: Mapping[VariableId, Value],
-    max_witness_size: Optional[int] = None,
-) -> Optional[tuple[Witness, tuple[Value, ...]]]:
-    """First (witness, alternative) making the outcome false, or None.
+    max_witness_size: Optional[int],
+) -> Iterator[_Hit]:
+    """Every (witness, first alternative) making the outcome false.
 
-    Witness subsets are tried smallest first (so the empty witness wins when
-    it suffices), alternatives in domain-lexicographic order.
+    Witness subsets come smallest first (so the first hit is the canonical
+    witness, the empty one when it suffices), each with its first
+    alternative in domain-lexicographic order. Warns when there is no hit
+    and the witness sets were capped.
     """
     rest = [v for v in model.endo_names if v not in cause_vars]
-    truncated = max_witness_size is not None and max_witness_size < len(rest)
+    hit = False
     for witness_vars in subsets_by_size(rest, max_witness_size):
         witness = Witness(witness_vars, tuple(actual[w] for w in witness_vars))
         alt = dependence_with_witness(model, context, cause_vars, witness, outcome)
         if alt is not None:
-            return witness, alt
-    if truncated:
+            hit = True
+            yield witness, alt
+    if not hit and max_witness_size is not None and max_witness_size < len(rest):
         warnings.warn(
             f"search truncated: witness sets capped at size {max_witness_size}",
             stacklevel=2,
         )
-    return None
+
+
+def _minimal_causes(
+    model: CausalModel,
+    context: Context,
+    pool: Sequence[VariableId],
+    max_size: Optional[int],
+    outcome: EventFormula,
+    actual: Mapping[VariableId, Value],
+    max_witness_size: Optional[int],
+) -> Iterator[tuple[tuple[VariableId, ...], Iterator[_Hit]]]:
+    """Every minimal cause among the nonempty subsets of pool, with its
+    witness hits (the first one is the canonical witness).
+
+    Subsets come smallest first, so a subset that has counterfactual
+    dependence is non-minimal iff it contains a cause yielded earlier; such
+    a subset is skipped without a witness search.
+    """
+    found: list[frozenset[VariableId]] = []
+    for cause_vars in subsets_by_size(pool, max_size):
+        members = frozenset(cause_vars)
+        if not members or any(cause <= members for cause in found):
+            continue
+        hits = _witness_hits(model, context, cause_vars, outcome, actual, max_witness_size)
+        first = next(hits, None)
+        if first is not None:
+            found.append(members)
+            yield cause_vars, itertools.chain((first,), hits)
 
 
 def dependence_with_witness(
@@ -153,12 +172,14 @@ def check_cause(
     actually_x = all(actual[v] == x for v, x in zip(candidate.vars, candidate.actual_values))
     if not (actually_x and satisfies(actual, outcome)):
         return None
-    found = _dependence_search(model, context, candidate.vars, outcome, actual, max_witness_size)
+    found = next(_witness_hits(model, context, candidate.vars, outcome, actual, max_witness_size), None)
     if found is None:
         return None
-    for sub in subsets_by_size(candidate.vars, len(candidate.vars) - 1):
-        if sub and _dependence_search(model, context, sub, outcome, actual, max_witness_size) is not None:
-            return None  # a strict subset already suffices
+    smaller = _minimal_causes(
+        model, context, candidate.vars, len(candidate.vars) - 1, outcome, actual, max_witness_size
+    )
+    if next(smaller, None) is not None:
+        return None  # a strict subset already suffices
     witness, alt = found
     return CauseCertificate(candidate, witness, alt, outcome)
 
@@ -187,22 +208,11 @@ def enumerate_causes(
     if max_cause_size is not None and max_cause_size < len(pool):
         warnings.warn(f"search truncated: cause sets capped at size {max_cause_size}", stacklevel=2)
     certificates: list[CauseCertificate] = []
-    for cause_vars in subsets_by_size(pool, max_cause_size):
-        if not cause_vars:
-            continue
+    causes = _minimal_causes(model, context, pool, max_cause_size, outcome, actual, max_witness_size)
+    for cause_vars, hits in causes:
         candidate = CandidateCause(cause_vars, tuple(actual[v] for v in cause_vars))
-        cert = check_cause(model, context, candidate, outcome, max_witness_size)
-        if cert is None:
-            continue
-        if not all_witnesses:
-            certificates.append(cert)
-            continue
-        rest = [v for v in model.endo_names if v not in cause_vars]
-        for witness_vars in subsets_by_size(rest, max_witness_size):
-            witness = Witness(witness_vars, tuple(actual[w] for w in witness_vars))
-            alt = dependence_with_witness(model, context, cause_vars, witness, outcome)
-            if alt is not None:
-                certificates.append(CauseCertificate(candidate, witness, alt, outcome))
+        for witness, alt in hits if all_witnesses else itertools.islice(hits, 1):
+            certificates.append(CauseCertificate(candidate, witness, alt, outcome))
     return certificates
 
 

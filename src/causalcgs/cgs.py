@@ -103,9 +103,6 @@ class StrategyProfile:
         merged.update(self.strategies)
         return StrategyProfile(merged)
 
-    def agents(self) -> frozenset:
-        return frozenset(self.strategies)
-
 
 def fixed_action_strategy(cgs: Cgs, agent: AgentId, value: Move) -> Strategy:
     """Play `value` wherever the agent really acts, NO_OP elsewhere."""

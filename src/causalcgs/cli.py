@@ -519,8 +519,5 @@ def main(argv: Optional[list[str]] = None) -> int:
     return code
 
 
-cli_main = main
-
-
 if __name__ == "__main__":
     sys.exit(main())

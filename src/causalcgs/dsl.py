@@ -21,7 +21,7 @@ name exists, otherwise a literal value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .model import (
     And,
@@ -47,7 +47,7 @@ KEYWORDS = frozenset(
     {"exogenous", "endogenous", "agent", "eq", "context", "outcome", "in", "if", "then", "else"}
 )
 
-_PUNCT = (":=", "==", "{", "}", "(", ")", ",", "=", ":", "!", "&", "|")
+_DECLARATIONS = ("exogenous", "endogenous", "agent")
 
 
 class ParseError(ModelError):
@@ -121,49 +121,6 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-@dataclass
-class _Name:
-    """A bare identifier in an expression, resolved to Var or Const once all
-    declarations are known."""
-
-    text: str
-    line: int
-    column: int
-
-
-_RawExpr = Union[Const, Var, EqTest, "_RawNot", "_RawAnd", "_RawOr", "_RawIte", _Name]
-
-
-@dataclass
-class _RawNot:
-    arg: _RawExpr
-
-
-@dataclass
-class _RawAnd:
-    left: _RawExpr
-    right: _RawExpr
-
-
-@dataclass
-class _RawOr:
-    left: _RawExpr
-    right: _RawExpr
-
-
-@dataclass
-class _RawIte:
-    cond: _RawExpr
-    then: _RawExpr
-    orelse: _RawExpr
-
-
-@dataclass
-class _RawEqTest:
-    name: _Name
-    value: Value
-
-
 @dataclass(frozen=True)
 class ModelDocument:
     model: CausalModel
@@ -176,6 +133,14 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        # A declaration is the only place where these keywords are followed
+        # by an identifier, so the declared names are known before parsing
+        # and a bare identifier resolves where it stands.
+        self.declared = frozenset(
+            name.text
+            for word, name in zip(tokens, tokens[1:])
+            if word.kind == "keyword" and word.text in _DECLARATIONS and name.kind == "ident"
+        )
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -228,30 +193,30 @@ class _Parser:
         self.expect_punct("}")
         return values
 
-    def parse_expr(self) -> _RawExpr:
+    def parse_expr(self) -> Expression:
         return self.parse_or()
 
-    def parse_or(self) -> _RawExpr:
+    def parse_or(self) -> Expression:
         left = self.parse_and()
         while self.peek().kind == "punct" and self.peek().text == "|":
             self.next()
-            left = _RawOr(left, self.parse_and())
+            left = Or(left, self.parse_and())
         return left
 
-    def parse_and(self) -> _RawExpr:
+    def parse_and(self) -> Expression:
         left = self.parse_not()
         while self.peek().kind == "punct" and self.peek().text == "&":
             self.next()
-            left = _RawAnd(left, self.parse_not())
+            left = And(left, self.parse_not())
         return left
 
-    def parse_not(self) -> _RawExpr:
+    def parse_not(self) -> Expression:
         if self.peek().kind == "punct" and self.peek().text == "!":
             self.next()
-            return _RawNot(self.parse_not())
+            return Not(self.parse_not())
         return self.parse_atom()
 
-    def parse_atom(self) -> _RawExpr:
+    def parse_atom(self) -> Expression:
         tok = self.peek()
         if tok.kind == "punct" and tok.text == "(":
             self.next()
@@ -265,42 +230,18 @@ class _Parser:
             then = self.parse_expr()
             self.take_keyword("else")
             orelse = self.parse_expr()
-            return _RawIte(cond, then, orelse)
+            return Ite(cond, then, orelse)
         if tok.kind == "value":
             self.next()
             return Const(tok.text)
         if tok.kind == "ident":
             self.next()
-            name = _Name(tok.text, tok.line, tok.column)
             if self.peek().kind == "punct" and self.peek().text == "==":
                 self.next()
-                value = self.expect_value()
-                return _RawEqTest(name, value.text)
-            return name
+                # undeclared names on the left of '==' are a validate_model problem
+                return EqTest(tok.text, self.expect_value().text)
+            return Var(tok.text) if tok.text in self.declared else Const(tok.text)
         raise self.error("expected an expression")
-
-
-def _resolve(raw, declared: frozenset[str]) -> Expression:
-    if isinstance(raw, _Name):
-        if raw.text in declared:
-            return Var(raw.text)
-        return Const(raw.text)
-    if isinstance(raw, _RawEqTest):
-        # undeclared names on the left of '==' are a validate_model problem
-        return EqTest(raw.name.text, raw.value)
-    if isinstance(raw, _RawNot):
-        return Not(_resolve(raw.arg, declared))
-    if isinstance(raw, _RawAnd):
-        return And(_resolve(raw.left, declared), _resolve(raw.right, declared))
-    if isinstance(raw, _RawOr):
-        return Or(_resolve(raw.left, declared), _resolve(raw.right, declared))
-    if isinstance(raw, _RawIte):
-        return Ite(
-            _resolve(raw.cond, declared),
-            _resolve(raw.then, declared),
-            _resolve(raw.orelse, declared),
-        )
-    return raw  # already Const
 
 
 def parse_model(source: str) -> ModelDocument:
@@ -310,15 +251,15 @@ def parse_model(source: str) -> ModelDocument:
     exogenous: list[tuple[str, list[Value]]] = []
     endogenous: list[tuple[str, list[Value]]] = []
     agents: list[str] = []
-    raw_equations: list[tuple[str, _RawExpr]] = []
+    equations: list[tuple[str, Expression]] = []
     context: Optional[dict[str, Value]] = None
-    raw_outcomes: list[tuple[str, _RawExpr, tuple[int, int]]] = []
+    parsed_outcomes: list[tuple[str, Expression, tuple[int, int]]] = []
 
     while p.peek().kind != "eof":
         tok = p.peek()
         if tok.kind != "keyword":
             raise p.error("expected a declaration, equation, context, or outcome")
-        if tok.text in ("exogenous", "endogenous", "agent"):
+        if tok.text in _DECLARATIONS:
             p.next()
             name = p.expect_ident("variable name").text
             p.take_keyword("in")
@@ -333,7 +274,7 @@ def parse_model(source: str) -> ModelDocument:
             p.next()
             name = p.expect_ident("equation target").text
             p.expect_punct(":=")
-            raw_equations.append((name, p.parse_expr()))
+            equations.append((name, p.parse_expr()))
         elif tok.text == "context":
             if context is not None:
                 raise p.error("a second context block")
@@ -358,20 +299,18 @@ def parse_model(source: str) -> ModelDocument:
             p.next()
             name_tok = p.expect_ident("outcome name")
             p.expect_punct(":")
-            raw_outcomes.append(
+            parsed_outcomes.append(
                 (name_tok.text, p.parse_expr(), (name_tok.line, name_tok.column))
             )
         else:
             raise p.error(f"unexpected {tok.text!r} here")
 
-    declared = frozenset(n for n, _ in exogenous) | frozenset(n for n, _ in endogenous)
-    equations = [(n, _resolve(raw, declared)) for n, raw in raw_equations]
     outcomes: dict[str, Expression] = {}
     positions: dict[str, tuple[int, int]] = {}
-    for name, raw, pos in raw_outcomes:
+    for name, expr, pos in parsed_outcomes:
         if name in outcomes:
             raise ParseError(f"outcome {name} defined twice", pos[0], pos[1])
-        outcomes[name] = _resolve(raw, declared)
+        outcomes[name] = expr
         positions[name] = pos
     # built directly, not via make_model: duplicate declarations must survive
     # so document_diagnostics can report them

@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union, get_args
-from weakref import WeakKeyDictionary
 
 VariableId = str
 Value = str
@@ -181,7 +180,7 @@ class CausalModel:
     equations: tuple[tuple[VariableId, Expression], ...]
     agent_vars: tuple[VariableId, ...] = ()
 
-    # The memo caches hash and compare models on every lookup. The generated
+    # The build cache hashes and compares models on every lookup. The generated
     # methods recurse through the expression trees, past the recursion limit
     # for deep ones; these use the equations' flat token tuple instead, and
     # hash it once per model.
@@ -200,6 +199,12 @@ class CausalModel:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return other is self or self._key == other._key
+
+    @cached_property
+    def _solved(self) -> dict:
+        """evaluate's memo: solved settings by sorted (context, intervention)
+        items. It lives and dies with the model."""
+        return {}
 
     @cached_property
     def exo_names(self) -> tuple[VariableId, ...]:
@@ -474,9 +479,6 @@ def validate_context(model: CausalModel, context: Context) -> list[Diagnostic]:
 
 # --- evaluation -----------------------------------------------------------
 
-_EVAL_CACHE: "WeakKeyDictionary[CausalModel, dict]" = WeakKeyDictionary()
-
-
 def _check_intervention(model: CausalModel, intervention: Intervention) -> None:
     endo = set(model.endo_names)
     for name, value in intervention.items():
@@ -492,9 +494,8 @@ def evaluate(model: CausalModel, context: Context, intervention: Intervention | 
     over exogenous + endogenous variables.
     """
     intervention = dict(intervention or {})
-    per_model = _EVAL_CACHE.setdefault(model, {})
     key = (tuple(sorted(context.items())), tuple(sorted(intervention.items())))
-    hit = per_model.get(key)
+    hit = model._solved.get(key)
     if hit is None:
         # Validity depends only on the key, and a call that raises stores
         # nothing, so a memo hit needs no check.
@@ -514,7 +515,7 @@ def evaluate(model: CausalModel, context: Context, intervention: Intervention | 
                 )
             values[v] = result
         hit = values
-        per_model[key] = hit
+        model._solved[key] = hit
     return dict(hit)
 
 

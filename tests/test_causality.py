@@ -5,7 +5,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import oracle
-from model_strategies import models_with_context
+import reference_causes
+from model_strategies import models_with_context, randgen_models_with_context
+from causalcgs import causality
 from causalcgs.causality import (
     CandidateCause,
     CausalityError,
@@ -15,6 +17,7 @@ from causalcgs.causality import (
     dependence_with_witness,
     enumerate_causes,
     is_butfor_cause,
+    subsets_by_size,
 )
 from causalcgs.model import (
     BOOL,
@@ -192,3 +195,64 @@ def test_certificates_verify_against_oracle(mc, data):
     for cert in certs:
         alt = oracle.literal_ac12(model, context, cert.cause.vars, cert.witness.vars, outcome)
         assert alt is not None
+
+
+@given(randgen_models_with_context(), st.data())
+def test_one_pass_search_matches_reference(mc, data):
+    model, context = mc
+    actual = evaluate(model, context)
+    name = data.draw(st.sampled_from(model.endo_names))
+    outcome = EqTest(name, actual[name])
+    agents_only = data.draw(st.booleans())
+    max_cause_size = data.draw(st.sampled_from((None, 1, 2)))
+    max_witness_size = data.draw(st.sampled_from((None, 0, 1, 2)))
+    options = (agents_only, False, max_cause_size, max_witness_size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        certs = enumerate_causes(model, context, outcome, *options)
+        assert certs == reference_causes.enumerate_causes(model, context, outcome, *options)
+        listed = (agents_only, True, max_cause_size, max_witness_size)
+        assert enumerate_causes(model, context, outcome, *listed) == reference_causes.enumerate_causes(
+            model, context, outcome, *listed
+        )
+        # a single check certifies exactly the enumerated causes, alike
+        by_cause = {c.cause.vars: c for c in certs}
+        pool = model.agents_in_order if agents_only else model.endo_names
+        for vars_ in subsets_by_size(pool, max_cause_size):
+            if not vars_:
+                continue
+            candidate = CandidateCause(vars_, tuple(actual[v] for v in vars_))
+            cert = check_cause(model, context, candidate, outcome, max_witness_size)
+            assert cert == by_cause.get(vars_)
+            assert cert == reference_causes.check_cause(model, context, candidate, outcome, max_witness_size)
+
+
+def _chain_model(n):
+    """chain(n): agent A1 copies U, each later agent gates the one before it
+    (copy, negate, or V, and U, in turn), and Out copies the last agent."""
+    gates = (lambda p: p, Not, lambda p: Or(p, Var("V")), lambda p: And(p, Var("U")))
+    agents = [f"A{k}" for k in range(1, n + 1)]
+    equations = {"A1": Var("U")}
+    for k in range(1, n):
+        equations[agents[k]] = gates[(k - 1) % len(gates)](Var(agents[k - 1]))
+    equations["Out"] = Var(agents[-1])
+    endogenous = {**{a: B for a in agents}, "Out": B}
+    return make_model({"U": B, "V": B}, endogenous, equations, agents)
+
+
+def test_enumeration_searches_each_witness_once(monkeypatch):
+    model, context = _chain_model(6), {"U": "1", "V": "0"}
+    searched = []
+    original = causality.dependence_with_witness
+
+    def recording(model, context, cause_vars, witness, outcome):
+        searched.append((cause_vars, witness.vars))
+        return original(model, context, cause_vars, witness, outcome)
+
+    monkeypatch.setattr(causality, "dependence_with_witness", recording)
+    actual = evaluate(model, context)
+    for name in model.endo_names:
+        for all_witnesses in (False, True):
+            searched.clear()
+            enumerate_causes(model, context, EqTest(name, actual[name]), all_witnesses=all_witnesses)
+            assert searched and len(set(searched)) == len(searched), (name, all_witnesses)

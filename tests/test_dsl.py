@@ -105,6 +105,15 @@ def test_undeclared_identifier_reads_as_value():
     assert dict(doc2.model.equations)["X"] == Const("red")
 
 
+def test_name_declared_after_its_use_is_a_variable():
+    doc = parse_model(
+        "exogenous U in {0,1}\nagent X in {0,1}\neq X := !Y | Y == 1\n"
+        "outcome late : Y\nendogenous Y in {0,1}\neq Y := U\n"
+    )
+    assert dict(doc.model.equations)["X"] == Or(Not(Var("Y")), EqTest("Y", "1"))
+    assert doc.outcomes["late"] == Var("Y")
+
+
 def test_syntax_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_model("exogenous U in {0,1}\neq X :=\n")

@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 import oracle
-from conftest import VEHICLE_PATH
+from conftest import VEHICLE_PATH, vehicle_model
 from model_strategies import models, models_with_context, randgen_models_with_context, values
 from causalcgs.dsl import parse_checked
 from causalcgs.graph import agent_ranking, build_network, variable_levels
@@ -112,6 +115,15 @@ def test_bad_input_raises_after_a_memo_hit(vehicle, vehicle_context):
         for _ in range(2):
             with pytest.raises(ModelError):
                 evaluate(vehicle, context, intervention)
+
+
+def test_evaluated_model_is_freed_once_dropped(vehicle_context):
+    model = vehicle_model()
+    evaluate(model, vehicle_context, {"DA": "1"})
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
 
 
 def test_context_must_be_total_and_in_domain(vehicle):
