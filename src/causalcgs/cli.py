@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import random
 import sys
@@ -33,7 +32,7 @@ from .builder import (
 from .causality import CandidateCause, CausalityError, Witness, enumerate_causes, subsets_by_size
 from .cgs import play
 from .dsl import ModelDocument, ParseError, document_diagnostics, outcome_formula, parse_model
-from .export import cgs_payload, export_dot, export_json
+from .export import cgs_payload, dumps, export_dot, export_json
 from .graph import RankingError, agent_ranking, build_network, variable_levels
 from .model import ModelError, evaluate
 from .randgen import GeneratorConfig, random_model, random_true_event
@@ -66,7 +65,7 @@ class _Report:
 
     def emit(self) -> None:
         if self.fmt == "json":
-            print(json.dumps(self.payload, indent=2))
+            print(dumps(self.payload))
         else:
             for line in self.lines:
                 print(line)

@@ -8,11 +8,63 @@ them: states by (depth, index), then move vectors in product order.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
-from .builder import CausalCgs, StateIndex
+from .builder import CausalCgs
 from .cgs import NO_OP
 from .model import BOOL, Value, VariableId
+
+
+def dumps(payload: object) -> str:
+    """The JSON text of ``payload``, byte for byte what the standard
+    library's encoder writes with ``indent=2`` and its other defaults.
+
+    Only what the payloads carry is accepted: dicts with ``str`` keys,
+    lists, ``str``, ``int``, ``bool`` and ``None``; anything else raises
+    ``TypeError``. Each distinct string is escaped once per call.
+    """
+    escaped: dict[str, str] = {}
+
+    def texts(values, inner: str) -> list[str]:
+        out = []
+        for v in values:
+            kind = type(v)
+            if kind is str:
+                text = escaped.get(v)
+                if text is None:
+                    text = escaped[v] = encode_basestring_ascii(v)
+            elif kind is dict or kind is list:
+                text = container(v, inner)
+            elif v is None:
+                text = "null"
+            elif kind is bool:
+                text = "true" if v else "false"
+            elif kind is int:
+                text = int.__repr__(v)
+            else:
+                raise TypeError(f"{kind.__name__} is not a JSON payload value")
+            out.append(text)
+        return out
+
+    def container(value, newline: str) -> str:
+        if not value:
+            return "{}" if type(value) is dict else "[]"
+        inner = newline + "  "
+        separator = "," + inner
+        if type(value) is list:
+            return "[" + inner + separator.join(texts(value, inner)) + newline + "]"
+        keys = []
+        for k in value:
+            text = escaped.get(k)
+            if text is None:
+                if type(k) is not str:
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                text = escaped[k] = encode_basestring_ascii(k)
+            keys.append(text)
+        items = [k + ": " + v for k, v in zip(keys, texts(value.values(), inner))]
+        return "{" + inner + separator.join(items) + newline + "}"
+
+    return texts((payload,), "\n")[0]
 
 
 def _is_boolean(domain: tuple[Value, ...]) -> bool:
@@ -25,16 +77,6 @@ def _atom(var: VariableId, value: Value, boolean: bool) -> str:
     return f"{var}={value}"
 
 
-def _state_label_text(cgs: CausalCgs, state: StateIndex) -> str:
-    model = cgs.origin.model
-    assignment = cgs.assignments[state]
-    parts = [
-        _atom(v, assignment[v], _is_boolean(model.domain[v]))
-        for v in (*model.exo_names, *model.endo_names)
-    ]
-    return "{" + ", ".join(parts) + "}"
-
-
 def _vector_text(vector) -> str:
     return "<" + ",".join("-" if m is NO_OP else str(m) for m in vector) + ">"
 
@@ -42,55 +84,60 @@ def _vector_text(vector) -> str:
 def export_dot(cgs: CausalCgs) -> str:
     """One node per state with its label set; one edge per non-self-loop
     transition, annotated with the move vector."""
+    model = cgs.origin.model
+    variables = [
+        (v, _is_boolean(model.domain[v])) for v in (*model.exo_names, *model.endo_names)
+    ]
     lines = [
         "digraph causal_cgs {",
         "  rankdir=TB;",
         '  node [shape=box fontname="monospace"];',
     ]
+    names = {}
     for state in sorted(cgs.states):
-        lines.append(
-            f'  {state.name()} [label="{state}\\n{_state_label_text(cgs, state)}"];'
-        )
+        name = names[state] = state.name()
+        assignment = cgs.assignments[state]
+        label = ", ".join([_atom(v, assignment[v], boolean) for v, boolean in variables])
+        lines.append(f'  {name} [label="{state}\\n{{{label}}}"];')
+    vectors: dict[tuple, str] = {}
     for (state, vector), child in cgs.base.transition.items():
         if child != state:
-            lines.append(
-                f'  {state.name()} -> {child.name()} [label="{_vector_text(vector)}"];'
-            )
+            text = vectors.get(vector)
+            if text is None:
+                text = vectors[vector] = _vector_text(vector)
+            lines.append(f'  {names[state]} -> {names[child]} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _json_move(move) -> object:
-    return None if move is NO_OP else move
-
-
 def cgs_payload(cgs: CausalCgs) -> dict:
-    """The JSON-ready dict form of a structure; export_json serializes it."""
+    """The JSON-ready dict form of a structure; export_json serializes it.
+
+    Every list in it is a fresh object, even where two hold the same moves.
+    """
     model = cgs.origin.model
     ordered = sorted(cgs.states)
-    states = [
-        {
-            "i": s.i,
-            "j": s.j,
-            "label": {
-                v: cgs.assignments[s][v] for v in (*model.exo_names, *model.endo_names)
-            },
-        }
-        for s in ordered
-    ]
+    names = {s: s.name() for s in ordered}
+    variables = (*model.exo_names, *model.endo_names)
+    states = []
+    for s in ordered:
+        assignment = cgs.assignments[s]
+        states.append({"i": s.i, "j": s.j, "label": {v: assignment[v] for v in variables}})
+    json_moves: dict[tuple, list] = {}
+
+    def move_list(moves: tuple) -> list:
+        listed = json_moves.get(moves)
+        if listed is None:
+            listed = json_moves[moves] = [None if m is NO_OP else m for m in moves]
+        return listed.copy()
+
+    base_moves = cgs.base.moves
     moves = {
-        agent: {
-            s.name(): [_json_move(m) for m in cgs.base.moves[(agent, s)]]
-            for s in ordered
-        }
+        agent: {names[s]: move_list(base_moves[(agent, s)]) for s in ordered}
         for agent in cgs.agents
     }
     transitions = [
-        {
-            "from": s.name(),
-            "vector": [_json_move(m) for m in vector],
-            "to": child.name(),
-        }
+        {"from": names[s], "vector": move_list(vector), "to": names[child]}
         for (s, vector), child in cgs.base.transition.items()
     ]
     ranks = {v: cgs.ranking.rho[v] for v in model.endo_names}
@@ -112,4 +159,4 @@ def cgs_payload(cgs: CausalCgs) -> dict:
 
 
 def export_json(cgs: CausalCgs) -> str:
-    return json.dumps(cgs_payload(cgs), indent=2) + "\n"
+    return dumps(cgs_payload(cgs)) + "\n"

@@ -307,3 +307,34 @@ def test_calls_in_one_process_share_no_options(capsys):
     assert code == 0 and out.strip().splitlines()[-1] == "36/36 verdicts agree"
     code, out = run(capsys, "bridge", VEHICLE, "--outcome", "no_collision")
     assert code == 0 and out.strip().splitlines()[-1] == "171/171 verdicts agree"
+
+
+def _golden_bytes(name):
+    with open(os.path.join(GOLDEN, name), "rb") as handle:
+        return handle.read()
+
+
+def test_no_report_or_export_runs_the_pure_python_encoder(capsys, monkeypatch, tmp_path):
+    def tripwire(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", tripwire)
+    monkeypatch.delenv("CAUSAL_CGS_COLOR", raising=False)
+    dot, tree = tmp_path / "tree.dot", tmp_path / "tree.json"
+    code, _ = run(capsys, "build", VEHICLE, "--json", str(tree), "--dot", str(dot))
+    assert code == 0
+    assert dot.read_bytes() == _golden_bytes("vehicle.dot")
+    assert tree.read_bytes() == _golden_bytes("vehicle.json")
+    reports = (
+        (["build", VEHICLE], None),
+        (["causes", VEHICLE, "--outcome", "no_collision"], "vehicle_causes.json"),
+        (["bridge", VEHICLE, "--outcome", "no_collision"], "vehicle_bridge.json"),
+        (["rank", VEHICLE], None),
+        (["validate", VEHICLE], None),
+        (["selftest", "--models", "5"], None),
+    )
+    for argv, golden in reports:
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        if golden is not None:
+            assert out.encode("utf-8") == _golden_bytes(golden)

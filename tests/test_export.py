@@ -1,12 +1,16 @@
 import json
 import os
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from model_strategies import models_with_context
+from conftest import VEHICLE_PATH
+from model_strategies import models_with_context, randgen_models_with_context, values
+from reference_export import reference_export_dot
 from causalcgs.builder import build_causal_cgs, size_report
-from causalcgs.export import cgs_payload, export_dot, export_json
+from causalcgs.dsl import parse_checked
+from causalcgs.export import cgs_payload, dumps, export_dot, export_json
 from causalcgs.model import BOOL, Var, make_model
 
 
@@ -79,9 +83,24 @@ def test_exports_are_deterministic(vehicle, vehicle_context, vehicle_cgs):
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-@pytest.mark.parametrize("name, generating", [("vehicle", {}), ("vehicle_HD1", {"HD": "1"})])
-def test_exports_match_golden_bytes(vehicle_doc, name, generating):
-    cgs = build_causal_cgs(vehicle_doc.model, vehicle_doc.context, generating)
+# mixed.scm holds a three-valued agent, singleton {1} domains and agents on
+# two ranks, which the binary vehicle model does not.
+SOURCES = {"vehicle": VEHICLE_PATH, "mixed": os.path.join(GOLDEN, "mixed.scm")}
+
+
+@pytest.mark.parametrize(
+    "name, generating",
+    [
+        ("vehicle", {}),
+        ("vehicle_HD1", {"HD": "1"}),
+        ("mixed", {}),
+        ("mixed_Gearlo", {"Gear": "lo"}),
+    ],
+)
+def test_exports_match_golden_bytes(name, generating):
+    with open(SOURCES[name.split("_")[0]], "r", encoding="utf-8") as handle:
+        doc = parse_checked(handle.read())
+    cgs = build_causal_cgs(doc.model, doc.context, generating)
     for suffix, text in ((".dot", export_dot(cgs)), (".json", export_json(cgs))):
         with open(os.path.join(GOLDEN, name + suffix), "rb") as handle:
             assert text.encode("utf-8") == handle.read(), name + suffix
@@ -98,3 +117,56 @@ def test_node_count_matches_size_report(mc):
     payload = json.loads(export_json(cgs))
     assert len(payload["states"]) == rep.states
     assert len(payload["transitions"]) == rep.transitions
+
+
+# Strings with JSON's escapes, control characters and non-ASCII text.
+json_strings = st.text(
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'), st.characters())
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | json_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(json_values)
+def test_dumps_writes_the_stdlib_indent_2_text(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, (1, 2), {"a"}, {1: "a"}, [{"moves": ["0", (1,)]}], {"k": {None: 0}}],
+    ids=["float", "tuple", "set", "int-key", "nested-tuple", "nested-none-key"],
+)
+def test_dumps_rejects_what_payloads_never_carry(value):
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+@st.composite
+def randgen_builds(draw):
+    """A `randgen` structure, plain or under a random generating intervention."""
+    model, context = draw(randgen_models_with_context())
+    generating = draw(
+        st.one_of(
+            st.just({}),
+            st.dictionaries(st.sampled_from(list(model.endo_names)), values, max_size=2),
+        )
+    )
+    return build_causal_cgs(model, context, generating)
+
+
+@given(randgen_builds())
+def test_exports_match_references(cgs):
+    assert export_json(cgs) == json.dumps(cgs_payload(cgs), indent=2) + "\n"
+    assert export_dot(cgs) == reference_export_dot(cgs)
+    payload = cgs_payload(cgs)
+    lists = [moves for by_state in payload["moves"].values() for moves in by_state.values()]
+    lists += [t["vector"] for t in payload["transitions"]]
+    assert len({id(moves) for moves in lists}) == len(lists)  # no list is shared
