@@ -10,7 +10,6 @@ from .bridge import (
     check_prop_superset_strategy,
     definition_choice,
     play_deviation,
-    witness_sweep,
 )
 from .builder import (
     BuilderError,
@@ -34,7 +33,6 @@ from .causality import (
     check_cause,
     dependence_with_witness,
     enumerate_causes,
-    is_butfor_cause,
     subsets_by_size,
 )
 from .cgs import (
@@ -44,9 +42,7 @@ from .cgs import (
     Strategy,
     StrategyProfile,
     fixed_action_strategy,
-    legal_move_vectors,
     play,
-    validate_cgs,
 )
 from .cli import main
 from .dsl import (
@@ -54,7 +50,6 @@ from .dsl import (
     ParseError,
     document_diagnostics,
     outcome_formula,
-    parse_checked,
     parse_model,
 )
 from .export import cgs_payload, export_dot, export_json
@@ -83,7 +78,6 @@ from .model import (
     Not,
     Or,
     Var,
-    all_contexts,
     as_event_formula,
     evaluate,
     free_variables,

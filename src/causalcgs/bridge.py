@@ -23,13 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .builder import CausalCgs, StateIndex, action_path, build_causal_cgs, corresponds
-from .causality import (
-    CandidateCause,
-    CauseCertificate,
-    Witness,
-    dependence_with_witness,
-    subsets_by_size,
-)
+from .causality import CandidateCause, CauseCertificate, Witness, dependence_with_witness
 from .cgs import NO_OP, Strategy, StrategyProfile, fixed_action_strategy, play
 from .model import (
     CausalModel,
@@ -166,19 +160,6 @@ def _require_actual_candidate(
     return actual
 
 
-def _cause_side(
-    model: CausalModel,
-    context: Context,
-    candidate: CandidateCause,
-    witness: Witness,
-    outcome: EventFormula,
-) -> Optional[CauseCertificate]:
-    alt = dependence_with_witness(model, context, candidate.vars, witness, outcome)
-    if alt is None:
-        return None
-    return CauseCertificate(candidate, witness, alt, outcome)
-
-
 def _search_strategies(
     cgs: CausalCgs,
     model: CausalModel,
@@ -205,6 +186,36 @@ def _search_strategies(
     return StrategySide(coalition=coalition, positive=False)
 
 
+def _verdict(
+    kind: str,
+    model: CausalModel,
+    context: Context,
+    candidate: CandidateCause,
+    witness: Witness,
+    outcome: EventFormula,
+    members: tuple[VariableId, ...],
+    generating: Mapping[VariableId, Value],
+    pinned: Mapping[VariableId, Value],
+) -> BridgeVerdict:
+    """Dependence under the frozen witness against the coalition `members`
+    in the game built under `generating`, with `pinned` held in every play."""
+    _require_actual_candidate(model, context, candidate, witness, outcome)
+    outside = [v for v in members if v not in model.agent_set]
+    if outside:
+        raise BridgeError(f"{outside[0]} is not an agent variable")
+    cgs = build_causal_cgs(model, context, generating)
+    alt = dependence_with_witness(model, context, candidate.vars, witness, outcome)
+    cert = None if alt is None else CauseCertificate(candidate, witness, alt, outcome)
+    coalition = tuple(v for v in model.agents_in_order if v in members)
+    side = _search_strategies(cgs, model, context, candidate, pinned, coalition, outcome)
+    return BridgeVerdict(
+        kind=kind,
+        cause_side=cert,
+        strategy_side=side,
+        agree=(cert is not None) == side.positive,
+    )
+
+
 def check_prop_cause_iff_strategy(
     model: CausalModel,
     context: Context,
@@ -214,19 +225,9 @@ def check_prop_cause_iff_strategy(
 ) -> BridgeVerdict:
     """Counterfactual dependence under a frozen witness vs. a candidate-only
     coalition in the game built from the witness-frozen setting."""
-    _require_actual_candidate(model, context, candidate, witness, outcome)
-    for v in candidate.vars:
-        if v not in model.agent_set:
-            raise BridgeError(f"{v} is not an agent variable")
-    cgs = build_causal_cgs(model, context, witness.as_mapping())
-    cert = _cause_side(model, context, candidate, witness, outcome)
-    coalition = tuple(v for v in model.agents_in_order if v in set(candidate.vars))
-    side = _search_strategies(cgs, model, context, candidate, {}, coalition, outcome)
-    return BridgeVerdict(
-        kind="fixed-witness",
-        cause_side=cert,
-        strategy_side=side,
-        agree=(cert is not None) == side.positive,
+    return _verdict(
+        "fixed-witness", model, context, candidate, witness, outcome,
+        candidate.vars, witness.as_mapping(), {},
     )
 
 
@@ -240,44 +241,7 @@ def check_prop_superset_strategy(
     """Same dependence question vs. the candidate plus witness agents acting
     as one coalition in the plain game, witness agents pinned to their
     actual values."""
-    _require_actual_candidate(model, context, candidate, witness, outcome)
-    outside = [v for v in (*candidate.vars, *witness.vars) if v not in model.agent_set]
-    if outside:
-        raise BridgeError(f"{outside[0]} is not an agent variable")
-    cgs = build_causal_cgs(model, context, {})
-    cert = _cause_side(model, context, candidate, witness, outcome)
-    members = set(candidate.vars) | set(witness.vars)
-    coalition = tuple(v for v in model.agents_in_order if v in members)
-    side = _search_strategies(
-        cgs, model, context, candidate, witness.as_mapping(), coalition, outcome
+    return _verdict(
+        "superset-coalition", model, context, candidate, witness, outcome,
+        (*candidate.vars, *witness.vars), {}, witness.as_mapping(),
     )
-    return BridgeVerdict(
-        kind="superset-coalition",
-        cause_side=cert,
-        strategy_side=side,
-        agree=(cert is not None) == side.positive,
-    )
-
-
-def witness_sweep(
-    model: CausalModel,
-    context: Context,
-    candidate: CandidateCause,
-    outcome: EventFormula,
-    agents_only: bool = False,
-) -> list[tuple[Witness, BridgeVerdict]]:
-    """Fixed-witness verdicts for every witness set (smallest first, then
-    declaration order), frozen at actual values."""
-    actual = evaluate(model, context)
-    pool = [
-        v
-        for v in (model.agents_in_order if agents_only else model.endo_names)
-        if v not in set(candidate.vars)
-    ]
-    out = []
-    for vars_ in subsets_by_size(pool):
-        witness = Witness(vars_, tuple(actual[w] for w in vars_))
-        out.append(
-            (witness, check_prop_cause_iff_strategy(model, context, candidate, witness, outcome))
-        )
-    return out

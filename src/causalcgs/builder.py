@@ -24,7 +24,7 @@ from functools import reduce
 from typing import Mapping, NamedTuple, Optional
 from weakref import WeakKeyDictionary
 
-from .cgs import NO_OP, Cgs, Move, legal_move_vectors
+from .cgs import NO_OP, Cgs, Move
 from .graph import AgentRanking, agent_ranking, build_network, variable_levels
 from .model import (
     CausalModel,
@@ -96,20 +96,6 @@ class CausalCgs:
     @property
     def leaves(self) -> tuple[StateIndex, ...]:
         return tuple(q for q in self.states if q.i == self.n_max)
-
-    def descendants(self, state: StateIndex) -> set[StateIndex]:
-        """States reachable in one or more steps (a leaf reaches itself)."""
-        transition = self.base.transition
-        seen: set[StateIndex] = set()
-        frontier = [state]
-        while frontier:
-            q = frontier.pop()
-            for vector in legal_move_vectors(self.base, q):
-                child = transition[(q, vector)]
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
 
 
 _CGS_CACHE: "WeakKeyDictionary[CausalModel, dict]" = WeakKeyDictionary()
@@ -257,21 +243,19 @@ def size_report(cgs: CausalCgs) -> SizeReport:
 
 def check_rank_stability(cgs: CausalCgs) -> list[str]:
     """Once a variable's rank has been reached, its labeled value must agree
-    across the whole subtree. Returns violation descriptions."""
+    across the whole subtree. A value that differs somewhere below a state
+    changes on some edge of the path there, so one pass over the edges
+    suffices: a variable whose rank is at most the parent's depth must keep
+    its value into the child. Returns violation descriptions."""
     problems = []
     rho = cgs.ranking.rho
-    for state in cgs.states:
-        settled = [v for v in cgs.origin.model.endo_names if rho[v] == state.i]
-        if not settled:
-            continue
-        here = cgs.assignments[state]
-        for q in cgs.descendants(state):
-            there = cgs.assignments[q]
-            for v in settled:
-                if there[v] != here[v]:
-                    problems.append(
-                        f"{v} is {here[v]} at {state} but {there[v]} at descendant {q}"
-                    )
+    names = cgs.origin.model.endo_names
+    settled = [[v for v in names if rho[v] <= i] for i in range(cgs.n_max + 1)]
+    for (state, _vector), child in cgs.base.transition.items():
+        here, there = cgs.assignments[state], cgs.assignments[child]
+        for v in settled[state.i]:
+            if there[v] != here[v]:
+                problems.append(f"{v} is {here[v]} at {state} but {there[v]} at child {child}")
     return problems
 
 

@@ -214,19 +214,3 @@ def enumerate_causes(
         for witness, alt in hits if all_witnesses else itertools.islice(hits, 1):
             certificates.append(CauseCertificate(candidate, witness, alt, outcome))
     return certificates
-
-
-def is_butfor_cause(
-    model: CausalModel,
-    context: Context,
-    candidate: CandidateCause,
-    outcome: EventFormula,
-) -> Optional[tuple[Value, ...]]:
-    """Alternative values x' iff the candidate is a cause whose dependence
-    needs no witness. The canonical search tries the empty witness first, so
-    a certificate with a nonempty witness means no empty-witness alternative
-    exists."""
-    cert = check_cause(model, context, candidate, outcome)
-    if cert is None or cert.witness.vars:
-        return None
-    return cert.alternative

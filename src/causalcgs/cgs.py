@@ -9,9 +9,8 @@ to any domain value.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Optional
+from typing import Callable, Hashable, Mapping, Optional
 
 AgentId = Hashable
 State = Hashable
@@ -49,31 +48,6 @@ class Cgs:
     transition: Mapping[tuple[State, tuple[Move, ...]], State]
 
 
-def legal_move_vectors(cgs: Cgs, state: State) -> list[tuple[Move, ...]]:
-    """The move-vector product at a state, agents most significant first."""
-    lists = [cgs.moves[(agent, state)] for agent in cgs.agents]
-    return list(itertools.product(*lists))
-
-
-def validate_cgs(cgs: Cgs) -> list[str]:
-    """Structural checks; an empty list means well-formed."""
-    problems = []
-    for state in cgs.states:
-        for agent in cgs.agents:
-            if not cgs.moves.get((agent, state)):
-                problems.append(f"agent {agent!r} has no moves at {state!r}")
-        vectors = legal_move_vectors(cgs, state)
-        for vec in vectors:
-            if (state, vec) not in cgs.transition:
-                problems.append(f"transition missing at {state!r} for {vec!r}")
-    for (state, vec), target in cgs.transition.items():
-        if vec not in set(legal_move_vectors(cgs, state)):
-            problems.append(f"transition defined for illegal vector {vec!r} at {state!r}")
-        if target not in set(cgs.states):
-            problems.append(f"transition target {target!r} is not a state")
-    return problems
-
-
 @dataclass(frozen=True)
 class Strategy:
     """Per-agent move choice over finite state histories."""
@@ -87,15 +61,6 @@ class StrategyProfile:
     """A coalition's strategies, keyed by agent."""
 
     strategies: Mapping[AgentId, Strategy]
-
-    @staticmethod
-    def of(strategies: Iterable[Strategy]) -> "StrategyProfile":
-        by_agent: dict[AgentId, Strategy] = {}
-        for s in strategies:
-            if s.agent in by_agent:
-                raise CgsError(f"two strategies for agent {s.agent!r}")
-            by_agent[s.agent] = s
-        return StrategyProfile(by_agent)
 
     def compose(self, fallback: "StrategyProfile") -> "StrategyProfile":
         """This profile where defined, the fallback everywhere else."""

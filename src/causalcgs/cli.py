@@ -307,6 +307,8 @@ def _cmd_bridge(args, report: _Report) -> int:
     if context is None:
         return 1
     model = doc.model
+    if not model.agents_in_order:  # the error `rank` and `build` give
+        raise RankingError("no agent variables declared")
     outcome = outcome_formula(doc, args.outcome)
     actual = evaluate(model, context)
 

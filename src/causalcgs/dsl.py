@@ -347,16 +347,6 @@ def document_diagnostics(doc: ModelDocument) -> list[Diagnostic]:
     return diags
 
 
-def parse_checked(source: str) -> ModelDocument:
-    """Parse and fully check a document. Raises ParseError for syntax and
-    ModelError carrying the first diagnostic for semantic problems."""
-    doc = parse_model(source)
-    diags = document_diagnostics(doc)
-    if diags:
-        raise ModelError(str(diags[0]))
-    return doc
-
-
 def outcome_formula(doc: ModelDocument, name: str) -> EventFormula:
     if name not in doc.outcomes:
         known = ", ".join(sorted(doc.outcomes)) or "none defined"

@@ -605,10 +605,3 @@ def intervened_model(model: CausalModel, intervention: Intervention) -> CausalMo
             for v, ps in getattr(model, attr).items()
         }
     return new
-
-
-def all_contexts(model: CausalModel) -> list[dict[VariableId, Value]]:
-    """Every total exogenous assignment, in declaration-lexicographic order."""
-    names = model.exo_names
-    domains = [model.domain[n] for n in names]
-    return [dict(zip(names, combo)) for combo in itertools.product(*domains)]

@@ -3,14 +3,42 @@ import os
 import pytest
 from hypothesis import settings
 
-from causalcgs import build_causal_cgs, make_model
-from causalcgs.dsl import parse_checked
+import itertools
+
+from causalcgs import build_causal_cgs, check_cause, make_model
+from causalcgs.cgs import StrategyProfile
+from causalcgs.dsl import document_diagnostics, parse_model
 from causalcgs.model import And, Not, Or, Var
 
 settings.register_profile("default", deadline=None, max_examples=60)
 settings.load_profile("default")
 
 VEHICLE_PATH = os.path.join(os.path.dirname(__file__), "..", "models", "vehicle.scm")
+
+
+def parse_checked(source):
+    """A parsed document that has no diagnostics."""
+    doc = parse_model(source)
+    diags = document_diagnostics(doc)
+    assert not diags, [str(d) for d in diags]
+    return doc
+
+
+def all_contexts(model):
+    """Every total exogenous assignment, in declaration-lexicographic order."""
+    names = model.exo_names
+    return [dict(zip(names, combo)) for combo in itertools.product(*(model.domain[n] for n in names))]
+
+
+def profile_of(strategies):
+    """A profile holding each strategy under its agent."""
+    return StrategyProfile({s.agent: s for s in strategies})
+
+
+def is_butfor_cause(model, context, candidate, outcome):
+    """The alternative of a cause whose canonical witness is empty, else None."""
+    cert = check_cause(model, context, candidate, outcome)
+    return cert.alternative if cert is not None and not cert.witness.vars else None
 
 
 def vehicle_model():

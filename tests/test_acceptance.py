@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import pytest
 
 import oracle
-from conftest import VEHICLE_CONTEXT, VEHICLE_PATH, vehicle_model
+from conftest import VEHICLE_CONTEXT, VEHICLE_PATH, all_contexts, vehicle_model
 from families import (
     bridge_cases,
     deviation_models,
@@ -32,7 +32,7 @@ from causalcgs.builder import (
 from causalcgs.causality import CandidateCause, Witness, enumerate_causes
 from causalcgs.cgs import NO_OP, play
 from causalcgs.cli import main
-from causalcgs.model import EqTest, Not, all_contexts, evaluate, intervened_model
+from causalcgs.model import EqTest, Not, evaluate, intervened_model
 
 NO_COLLISION = Not(EqTest("Col", "1"))
 

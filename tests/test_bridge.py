@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -13,10 +14,9 @@ from causalcgs.bridge import (
     check_prop_superset_strategy,
     definition_choice,
     play_deviation,
-    witness_sweep,
 )
 from causalcgs.builder import StateIndex, build_causal_cgs
-from causalcgs.causality import CandidateCause, Witness, check_cause
+from causalcgs.causality import CandidateCause, Witness, check_cause, subsets_by_size
 from causalcgs.cgs import NO_OP, StrategyProfile, fixed_action_strategy, play
 from causalcgs.model import EqTest, Not, evaluate, satisfies
 
@@ -148,52 +148,53 @@ def test_superset_coalition_verdicts(vehicle, vehicle_context):
     assert v.strategy_side.leaf == q(2, 7)
 
 
+def _raises(message):
+    return pytest.raises(BridgeError, match=f"^{re.escape(message)}$")
+
+
 def test_bridge_preconditions(vehicle, vehicle_context):
     empty = Witness((), ())
-    with pytest.raises(BridgeError):  # outcome false at the actual setting
-        check_prop_cause_iff_strategy(
-            vehicle, vehicle_context, _cand(vehicle, vehicle_context, "DA"), empty, EqTest("Col", "1")
+    da = _cand(vehicle, vehicle_context, "DA")
+    for verdict in (check_prop_cause_iff_strategy, check_prop_superset_strategy):
+        with _raises("outcome is false in the actual setting"):
+            verdict(vehicle, vehicle_context, da, empty, EqTest("Col", "1"))
+        with _raises("candidate value DA='1' is not the actual value"):
+            verdict(vehicle, vehicle_context, CandidateCause(("DA",), ("1",)), empty, NO_COLLISION)
+        with _raises("Col is not an agent variable"):
+            verdict(vehicle, vehicle_context, _cand(vehicle, vehicle_context, "Col"), empty, NO_COLLISION)
+        with _raises("witness value HD='0' is not the actual value"):
+            verdict(vehicle, vehicle_context, da, Witness(("HD",), ("0",)), NO_COLLISION)
+        with _raises("witness variable U_O is not endogenous"):
+            verdict(vehicle, vehicle_context, da, Witness(("U_O",), ("1",)), NO_COLLISION)
+        with _raises("candidate and witness overlap"):
+            verdict(vehicle, vehicle_context, da, Witness(("DA",), ("0",)), NO_COLLISION)
+        with _raises("empty candidate"):
+            verdict(vehicle, vehicle_context, CandidateCause((), ()), empty, NO_COLLISION)
+    # only the superset check needs agent witnesses
+    with _raises("O is not an agent variable"):
+        check_prop_superset_strategy(vehicle, vehicle_context, da, Witness(("O",), ("1",)), NO_COLLISION)
+    assert check_prop_cause_iff_strategy(
+        vehicle, vehicle_context, da, Witness(("O",), ("1",)), NO_COLLISION
+    ).agree
+
+
+def _witness_sweep(model, context, candidate, outcome):
+    """Fixed-witness verdicts for every witness set of the other endogenous
+    variables (smallest first, then declaration order), frozen at actual
+    values."""
+    actual = evaluate(model, context)
+    pool = [v for v in model.endo_names if v not in candidate.vars]
+    out = []
+    for vars_ in subsets_by_size(pool):
+        witness = Witness(vars_, tuple(actual[w] for w in vars_))
+        out.append(
+            (witness, check_prop_cause_iff_strategy(model, context, candidate, witness, outcome))
         )
-    with pytest.raises(BridgeError):  # candidate value not actual
-        check_prop_cause_iff_strategy(
-            vehicle, vehicle_context, CandidateCause(("DA",), ("1",)), empty, NO_COLLISION
-        )
-    with pytest.raises(BridgeError):  # candidate not an agent variable
-        check_prop_cause_iff_strategy(
-            vehicle, vehicle_context, _cand(vehicle, vehicle_context, "Col"), empty, NO_COLLISION
-        )
-    with pytest.raises(BridgeError):  # witness value not actual
-        check_prop_cause_iff_strategy(
-            vehicle,
-            vehicle_context,
-            _cand(vehicle, vehicle_context, "DA"),
-            Witness(("HD",), ("0",)),
-            NO_COLLISION,
-        )
-    with pytest.raises(BridgeError):  # candidate and witness overlap
-        check_prop_cause_iff_strategy(
-            vehicle,
-            vehicle_context,
-            _cand(vehicle, vehicle_context, "DA"),
-            Witness(("DA",), ("0",)),
-            NO_COLLISION,
-        )
-    with pytest.raises(BridgeError):  # empty candidate
-        check_prop_cause_iff_strategy(
-            vehicle, vehicle_context, CandidateCause((), ()), empty, NO_COLLISION
-        )
-    with pytest.raises(BridgeError):  # superset check needs agent witnesses
-        check_prop_superset_strategy(
-            vehicle,
-            vehicle_context,
-            _cand(vehicle, vehicle_context, "DA"),
-            Witness(("O",), ("1",)),
-            NO_COLLISION,
-        )
+    return out
 
 
 def test_witness_sweep_all_agree(vehicle, vehicle_context):
-    results = witness_sweep(
+    results = _witness_sweep(
         vehicle, vehicle_context, _cand(vehicle, vehicle_context, "DA"), NO_COLLISION
     )
     assert results[0][0].vars == ()

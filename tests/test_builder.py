@@ -1,9 +1,18 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from model_strategies import models_with_context, values
-from tree_checks import check_child_ranges, check_transition_injectivity, check_tree_shape, children
+from model_strategies import models_with_context, randgen_models_with_context, values
+from tree_checks import (
+    check_child_ranges,
+    check_transition_injectivity,
+    check_tree_shape,
+    children,
+    legal_move_vectors,
+    reference_rank_stability,
+)
 from causalcgs import builder
 from causalcgs.builder import (
     BuilderError,
@@ -16,7 +25,7 @@ from causalcgs.builder import (
     corresponds,
     size_report,
 )
-from causalcgs.cgs import NO_OP, legal_move_vectors
+from causalcgs.cgs import NO_OP
 from causalcgs.model import (
     BOOL,
     Const,
@@ -253,23 +262,42 @@ def test_root_label_is_plain_evaluation(mc):
 
 
 @given(models_with_context())
-def test_descendants_cover_tree(mc):
-    model, context = mc
-    cgs = build_causal_cgs(model, context, {})
-    below_root = set(cgs.descendants(cgs.root))
-    assert below_root == set(cgs.states) - {cgs.root}
-    for leaf in cgs.leaves:
-        assert set(cgs.descendants(leaf)) == {leaf}
-
-
-@given(models_with_context())
 def test_legal_vectors_match_children(mc):
     model, context = mc
     cgs = build_causal_cgs(model, context, {})
     edges = children(cgs)
     for state in cgs.states:
-        vectors = list(legal_move_vectors(cgs.base, state))
+        vectors = legal_move_vectors(cgs, state)
         if state.i == cgs.n_max:
             assert vectors == [tuple(NO_OP for _ in cgs.agents)]
         else:
             assert vectors == [vec for vec, _ in edges[state]]
+
+
+@given(randgen_models_with_context(), st.data())
+def test_tree_checks_catch_a_corrupted_label(mc, data):
+    model, context = mc
+    generating = {}
+    if data.draw(st.booleans()):
+        generating = {
+            v: data.draw(st.sampled_from(model.domain[v]))
+            for v in model.endo_names
+            if data.draw(st.booleans())
+        }
+    cgs = build_causal_cgs(model, context, generating)
+    assert check_rank_stability(cgs) == [] == reference_rank_stability(cgs)
+    # every way of corrupting one label value, one at a time
+    for state in cgs.states:
+        for v in model.endo_names:
+            for value in model.domain[v]:
+                if value == cgs.assignments[state][v]:
+                    continue
+                label = {**cgs.assignments[state], v: value}
+                broken = dataclasses.replace(cgs, assignments={**cgs.assignments, state: label})
+                # the edge-by-edge check flags exactly the trees the
+                # state-by-state one does
+                assert bool(check_rank_stability(broken)) == bool(
+                    reference_rank_stability(broken)
+                ), (state, v)
+                if state.i == cgs.n_max:
+                    assert check_leaf_correspondence(broken) != [], (state, v)

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 import oracle
 import reference_causes
+from conftest import is_butfor_cause
 from model_strategies import models_with_context, randgen_models_with_context
 from causalcgs import causality
 from causalcgs.causality import (
@@ -16,7 +17,6 @@ from causalcgs.causality import (
     check_cause,
     dependence_with_witness,
     enumerate_causes,
-    is_butfor_cause,
     subsets_by_size,
 )
 from causalcgs.model import (

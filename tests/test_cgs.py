@@ -1,16 +1,7 @@
 import pytest
 
-from causalcgs.cgs import (
-    NO_OP,
-    Cgs,
-    CgsError,
-    Strategy,
-    StrategyProfile,
-    fixed_action_strategy,
-    legal_move_vectors,
-    play,
-    validate_cgs,
-)
+from conftest import profile_of
+from causalcgs.cgs import NO_OP, Cgs, CgsError, Strategy, fixed_action_strategy, play
 
 
 def two_step_game():
@@ -36,17 +27,6 @@ def two_step_game():
     )
 
 
-def test_validate_clean():
-    assert validate_cgs(two_step_game()) == []
-
-
-def test_legal_move_vectors_in_product_order():
-    g = two_step_game()
-    assert list(legal_move_vectors(g, "r")) == [("0", NO_OP), ("1", NO_OP)]
-    assert list(legal_move_vectors(g, "a1")) == [(NO_OP, "0"), (NO_OP, "1")]
-    assert list(legal_move_vectors(g, "a0b1")) == [(NO_OP, NO_OP)]
-
-
 def test_no_op_is_identity_singleton():
     assert NO_OP is type(NO_OP)()
     assert NO_OP != "0"
@@ -56,7 +36,7 @@ def test_no_op_is_identity_singleton():
 
 def test_play_follows_profile_until_self_loop():
     g = two_step_game()
-    profile = StrategyProfile.of(
+    profile = profile_of(
         [fixed_action_strategy(g, "a", "1"), fixed_action_strategy(g, "b", "0")]
     )
     assert play(g, "r", profile) == ["r", "a1", "a1b0"]
@@ -71,7 +51,7 @@ def test_play_with_history_dependent_strategy():
             return state[1]  # repeat a's choice
         return NO_OP
 
-    profile = StrategyProfile.of([fixed_action_strategy(g, "a", "0"), Strategy("b", mirror)])
+    profile = profile_of([fixed_action_strategy(g, "a", "0"), Strategy("b", mirror)])
     assert play(g, "r", profile)[-1] == "a0b0"
 
 
@@ -87,31 +67,23 @@ def test_play_rejects_illegal_move():
     def bad(history):
         return "1" if history[-1] == "r" else "1"  # illegal off the root
 
-    profile = StrategyProfile.of([Strategy("a", bad), fixed_action_strategy(g, "b", "0")])
+    profile = profile_of([Strategy("a", bad), fixed_action_strategy(g, "b", "0")])
     with pytest.raises(CgsError):
         play(g, "r", profile)
 
 
 def test_play_requires_every_agent():
     g = two_step_game()
-    profile = StrategyProfile.of([fixed_action_strategy(g, "a", "1")])
+    profile = profile_of([fixed_action_strategy(g, "a", "1")])
     with pytest.raises(CgsError):
         play(g, "r", profile)
 
 
 def test_profile_composition_prefers_primary():
     g = two_step_game()
-    base = StrategyProfile.of(
+    base = profile_of(
         [fixed_action_strategy(g, "a", "0"), fixed_action_strategy(g, "b", "0")]
     )
-    override = StrategyProfile.of([fixed_action_strategy(g, "a", "1")])
+    override = profile_of([fixed_action_strategy(g, "a", "1")])
     combined = override.compose(base)
     assert play(g, "r", combined) == ["r", "a1", "a1b0"]
-
-
-def test_duplicate_agent_in_profile_rejected():
-    g = two_step_game()
-    with pytest.raises(CgsError):
-        StrategyProfile.of(
-            [fixed_action_strategy(g, "a", "0"), fixed_action_strategy(g, "a", "1")]
-        )

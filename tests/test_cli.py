@@ -7,6 +7,7 @@ import pytest
 
 from causalcgs import bridge, builder, cli, export
 from causalcgs.cli import main
+from causalcgs.export import dumps
 
 VEHICLE = os.path.join(os.path.dirname(__file__), "..", "models", "vehicle.scm")
 
@@ -206,6 +207,29 @@ def test_color_toggle(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CAUSAL_CGS_COLOR", "0")
     code, out = run(capsys, "validate", VEHICLE)
     assert "\x1b[" not in out
+
+
+def test_model_without_agents_is_one_error(tmp_path, capsys):
+    path = tmp_path / "no_agents.scm"
+    path.write_text(
+        "exogenous U in {0, 1}\n"
+        "endogenous X in {0, 1}\n"
+        "eq X := U\n"
+        "outcome on : X\n"
+        "context U = 1\n"
+    )
+    commands = (
+        ["rank"],
+        ["build"],
+        ["bridge", "--outcome", "on"],
+        ["bridge", "--outcome", "on", "--cause", "X=1", "--witness"],
+    )
+    for fmt, expected in (
+        ("text", "error: no agent variables declared\n"),
+        ("json", dumps({"error": "no agent variables declared"}) + "\n"),
+    ):
+        outputs = [run(capsys, argv[0], str(path), *argv[1:], "--format", fmt) for argv in commands]
+        assert outputs == [(1, expected)] * len(commands)
 
 
 def _deep_model(tmp_path, terms):

@@ -7,7 +7,6 @@ from causalcgs.dsl import (
     ParseError,
     document_diagnostics,
     outcome_formula,
-    parse_checked,
     parse_model,
     tokenize,
 )
@@ -158,11 +157,6 @@ def test_bad_outcome_reported():
     )
     diags = document_diagnostics(doc)
     assert any(d.code == "bad-outcome" for d in diags)
-
-
-def test_parse_checked_raises_on_semantic_problem():
-    with pytest.raises(ModelError):
-        parse_checked("exogenous U in {0,1}\nagent X in {0,1}\neq X := W\n")
 
 
 def test_second_context_block_rejected():

@@ -5,11 +5,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import VEHICLE_PATH
+from conftest import VEHICLE_PATH, parse_checked
 from model_strategies import models_with_context, randgen_models_with_context, values
 from reference_export import reference_export_dot
 from causalcgs.builder import build_causal_cgs, size_report
-from causalcgs.dsl import parse_checked
 from causalcgs.export import cgs_payload, dumps, export_dot, export_json
 from causalcgs.model import BOOL, Var, make_model
 

@@ -6,9 +6,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import oracle
-from conftest import VEHICLE_PATH, vehicle_model
+from conftest import VEHICLE_PATH, all_contexts, parse_checked, vehicle_model
 from model_strategies import models, models_with_context, randgen_models_with_context, values
-from causalcgs.dsl import parse_checked
 from causalcgs.graph import agent_ranking, build_network, variable_levels
 from causalcgs.model import (
     BOOL,
@@ -21,7 +20,6 @@ from causalcgs.model import (
     Not,
     Or,
     Var,
-    all_contexts,
     as_event_formula,
     evaluate,
     free_variables,
@@ -324,10 +322,3 @@ def test_as_event_formula_rejections(vehicle):
         as_event_formula(EqTest("U_O", "1"), vehicle)  # exogenous
     with pytest.raises(ModelError):
         as_event_formula(EqTest("Col", "5"), vehicle)  # out of domain
-
-
-def test_all_contexts_order_and_count(vehicle):
-    ctxs = list(all_contexts(vehicle))
-    assert len(ctxs) == 4
-    assert ctxs[0] == {"U_O": "0", "U_Att": "0"}
-    assert ctxs[-1] == {"U_O": "1", "U_Att": "1"}

@@ -1,7 +1,9 @@
 """Tree-shape checks on built game structures, read off the transition table.
 
-Only tests use these; each returns a list of violation descriptions.
+Only tests use these; each check returns a list of violation descriptions.
 """
+
+import itertools
 
 from causalcgs.builder import CausalCgs, StateIndex
 
@@ -49,4 +51,36 @@ def check_tree_shape(cgs: CausalCgs) -> list[str]:
             problems.append(f"{q} is unreachable")
         if count > 1:
             problems.append(f"{q} has {count} incoming edges")
+    return problems
+
+
+def legal_move_vectors(cgs: CausalCgs, state: StateIndex) -> list[tuple]:
+    """The move-vector product at a state, agents most significant first."""
+    return list(itertools.product(*(cgs.base.moves[(a, state)] for a in cgs.base.agents)))
+
+
+def reference_rank_stability(cgs: CausalCgs) -> list[str]:
+    """The rank check made state by state, quadratic in the states: each
+    variable whose rank equals a state's depth keeps its value at every
+    descendant of that state."""
+    edges = children(cgs)
+    rho = cgs.ranking.rho
+    problems = []
+    for state in cgs.states:
+        settled = [v for v in cgs.origin.model.endo_names if rho[v] == state.i]
+        below: set[StateIndex] = set()
+        frontier = [state]
+        while frontier:
+            for _, child in edges[frontier.pop()]:
+                if child not in below:
+                    below.add(child)
+                    frontier.append(child)
+        here = cgs.assignments[state]
+        for q in below:
+            there = cgs.assignments[q]
+            problems.extend(
+                f"{v} is {here[v]} at {state} but {there[v]} at descendant {q}"
+                for v in settled
+                if there[v] != here[v]
+            )
     return problems
