@@ -213,14 +213,6 @@ class SizeReport:
     leaves: int
     bound: int  # twice the product of the agent domain sizes
 
-    def as_dict(self) -> dict:
-        return {
-            "states": self.states,
-            "transitions": self.transitions,
-            "leaves": self.leaves,
-            "bound": self.bound,
-        }
-
 
 def size_report(cgs: CausalCgs) -> SizeReport:
     """Counts plus the state bound; raises SizeBoundError when the structure

@@ -37,9 +37,6 @@ class CandidateCause:
     vars: tuple[VariableId, ...]
     actual_values: tuple[Value, ...]
 
-    def as_mapping(self) -> dict[VariableId, Value]:
-        return dict(zip(self.vars, self.actual_values))
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -58,12 +55,6 @@ class CauseCertificate:
     witness: Witness
     alternative: tuple[Value, ...]
     outcome: EventFormula
-
-    def intervention(self) -> dict[VariableId, Value]:
-        """The falsifying intervention: X at the alternative, W frozen."""
-        forced = dict(zip(self.cause.vars, self.alternative))
-        forced.update(self.witness.as_mapping())
-        return forced
 
 
 def subsets_by_size(names: Sequence[VariableId], max_size: Optional[int] = None) -> Iterable[tuple[VariableId, ...]]:

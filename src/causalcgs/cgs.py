@@ -10,7 +10,7 @@ to any domain value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Optional
+from typing import Callable, Hashable, Mapping
 
 AgentId = Hashable
 State = Hashable
@@ -89,25 +89,18 @@ def fixed_action_strategy(cgs: Cgs, agent: AgentId, value: Move) -> Strategy:
     return Strategy(agent, choose)
 
 
-def play(
-    cgs: Cgs,
-    start: State,
-    profile: StrategyProfile,
-    max_steps: Optional[int] = None,
-) -> list[State]:
+def play(cgs: Cgs, start: State, profile: StrategyProfile) -> list[State]:
     """Iterate the jointly chosen transitions from `start`.
 
-    Stops when the chosen vector loops a state back to itself or after
-    max_steps (default: the number of states). The profile must cover every
-    agent, and every chosen move must be legal.
+    Stops when the chosen vector loops a state back to itself or after as
+    many steps as there are states. The profile must cover every agent, and
+    every chosen move must be legal.
     """
     missing = [a for a in cgs.agents if a not in profile.strategies]
     if missing:
         raise CgsError(f"profile does not cover agents {missing!r}")
-    if max_steps is None:
-        max_steps = len(cgs.states)
     history: list[State] = [start]
-    for _ in range(max_steps):
+    for _ in range(len(cgs.states)):
         state = history[-1]
         seen = tuple(history)
         vector = []

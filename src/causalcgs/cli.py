@@ -9,6 +9,7 @@ emits a machine-readable report instead.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import random
@@ -16,7 +17,6 @@ import sys
 from typing import Optional
 
 from .bridge import (
-    BridgeError,
     causal_profile,
     check_prop_cause_iff_strategy,
     check_prop_superset_strategy,
@@ -29,7 +29,7 @@ from .builder import (
     corresponds,
     size_report,
 )
-from .causality import CandidateCause, CausalityError, Witness, enumerate_causes, subsets_by_size
+from .causality import CandidateCause, Witness, enumerate_causes, subsets_by_size
 from .cgs import play
 from .dsl import ModelDocument, ParseError, document_diagnostics, outcome_formula, parse_model
 from .export import cgs_payload, dumps, export_dot, export_json
@@ -71,50 +71,41 @@ class _Report:
                 print(line)
 
 
-def _read_document(path: str, report: _Report) -> Optional[ModelDocument]:
+class _Failure(Exception):
+    """A failed run: its report's text lines and JSON fields, which only
+    `main` writes."""
+
+    def __init__(self, lines: list[str], fields: dict):
+        self.lines, self.fields = lines, fields
+
+
+def _read_document(path: str) -> ModelDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as exc:
-        report.say(_red(f"error: cannot read {path}: {exc.strerror}"))
-        report.payload["error"] = f"cannot read {path}"
-        return None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror
+        raise _Failure([f"error: cannot read {path}: {reason}"], {"error": f"cannot read {path}"})
     try:
         return parse_model(source)
     except ParseError as exc:
-        report.say(_red(f"{path}:{exc}"))
-        report.payload["error"] = str(exc)
-        return None
+        raise _Failure([f"{path}:{exc}"], {"error": str(exc)})
 
 
-def _diag_record(diag) -> dict:
-    return {
-        "code": diag.code,
-        "message": diag.message,
-        "variable": diag.variable,
-        "line": diag.line,
-        "column": diag.column,
-    }
-
-
-def _checked_document(path: str, report: _Report) -> Optional[ModelDocument]:
-    doc = _read_document(path, report)
-    if doc is None:
-        return None
+def _checked_document(path: str, **fields) -> ModelDocument:
+    """The parsed document at path. If it has diagnostics, a failure: one
+    line each, and a report of `fields` followed by the diagnostics list."""
+    doc = _read_document(path)
     diags = document_diagnostics(doc)
     if diags:
-        report.payload["diagnostics"] = [_diag_record(d) for d in diags]
-        for d in diags:
-            report.say(_red(f"{path}: {d}"))
-        return None
+        fields["diagnostics"] = [dataclasses.asdict(d) for d in diags]
+        raise _Failure([f"{path}: {d}" for d in diags], fields)
     return doc
 
 
-def _require_context(doc: ModelDocument, path: str, report: _Report) -> Optional[dict]:
+def _require_context(doc: ModelDocument, path: str) -> dict:
     if doc.context is None:
-        report.say(_red(f"error: {path} has no context block"))
-        report.payload["error"] = "no context block"
-        return None
+        raise _Failure([f"error: {path} has no context block"], {"error": "no context block"})
     return doc.context
 
 
@@ -133,16 +124,8 @@ def _parse_assignments(pairs: list[str], what: str) -> dict[str, str]:
 # --- validate ---------------------------------------------------------------
 
 def _cmd_validate(args, report: _Report) -> int:
-    doc = _read_document(args.file, report)
-    if doc is None:
-        return 1
-    diags = document_diagnostics(doc)
-    report.payload["ok"] = not diags
-    report.payload["diagnostics"] = [_diag_record(d) for d in diags]
-    if diags:
-        for d in diags:
-            report.say(_red(f"{args.file}: {d}"))
-        return 1
+    _checked_document(args.file, ok=False)
+    report.payload.update(ok=True, diagnostics=[])
     report.say(_green(f"{args.file}: ok"))
     return 0
 
@@ -150,18 +133,10 @@ def _cmd_validate(args, report: _Report) -> int:
 # --- rank -------------------------------------------------------------------
 
 def _cmd_rank(args, report: _Report) -> int:
-    doc = _checked_document(args.file, report)
-    if doc is None:
-        return 1
-    model = doc.model
+    model = _checked_document(args.file).model
     network = build_network(model)
     levels = variable_levels(network, model)
-    try:
-        ranking = agent_ranking(model, levels)
-    except RankingError as exc:
-        report.say(_red(f"error: {exc}"))
-        report.payload["error"] = str(exc)
-        return 1
+    ranking = agent_ranking(model, levels)
     report.payload["levels"] = {v: levels[v] for v in model.endo_names}
     report.payload["ranks"] = {v: ranking.rho[v] for v in model.endo_names}
     report.payload["n_max"] = ranking.n_max
@@ -177,42 +152,35 @@ def _cmd_rank(args, report: _Report) -> int:
 
 # --- build ------------------------------------------------------------------
 
-def _write_export(path: str, text: str, report: _Report) -> bool:
+def _write_export(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        report.say(_red(f"error: cannot write {path}: {exc.strerror}"))
-        report.payload["error"] = f"cannot write {path}"
-        return False
-    return True
+        raise _Failure(
+            [f"error: cannot write {path}: {exc.strerror}"], {"error": f"cannot write {path}"}
+        )
 
 
 def _cmd_build(args, report: _Report) -> int:
-    doc = _checked_document(args.file, report)
-    if doc is None:
-        return 1
-    context = _require_context(doc, args.file, report)
-    if context is None:
-        return 1
+    doc = _checked_document(args.file)
+    context = _require_context(doc, args.file)
     intervention = _parse_assignments(args.intervene, "--intervene")
     cgs = build_causal_cgs(doc.model, context, intervention)
     rep = size_report(cgs)
     if report.fmt == "json":
         report.payload.update(cgs_payload(cgs))
-    report.payload["size"] = rep.as_dict()
+    report.payload["size"] = dataclasses.asdict(rep)
     report.say(
         f"states: {rep.states} (bound {rep.bound}), transitions: {rep.transitions},"
         f" leaves: {rep.leaves}"
     )
     if args.dot:
-        if not _write_export(args.dot, export_dot(cgs), report):
-            return 1
+        _write_export(args.dot, export_dot(cgs))
         report.say(f"wrote DOT to {args.dot}")
         report.payload["dot_path"] = args.dot
     if args.json_path:
-        if not _write_export(args.json_path, export_json(cgs), report):
-            return 1
+        _write_export(args.json_path, export_json(cgs))
         report.say(f"wrote JSON to {args.json_path}")
         report.payload["json_path"] = args.json_path
     return 0
@@ -225,12 +193,8 @@ def _format_pairs(pairs) -> str:
 
 
 def _cmd_causes(args, report: _Report) -> int:
-    doc = _checked_document(args.file, report)
-    if doc is None:
-        return 1
-    context = _require_context(doc, args.file, report)
-    if context is None:
-        return 1
+    doc = _checked_document(args.file)
+    context = _require_context(doc, args.file)
     outcome = outcome_formula(doc, args.outcome)
     certificates = enumerate_causes(
         doc.model, context, outcome, restrict_to_agents=args.agents_only
@@ -300,12 +264,8 @@ def _report_verdict(report: _Report, records: list[dict], candidate, witness, ve
 
 
 def _cmd_bridge(args, report: _Report) -> int:
-    doc = _checked_document(args.file, report)
-    if doc is None:
-        return 1
-    context = _require_context(doc, args.file, report)
-    if context is None:
-        return 1
+    doc = _checked_document(args.file)
+    context = _require_context(doc, args.file)
     model = doc.model
     if not model.agents_in_order:  # the error `rank` and `build` give
         raise RankingError("no agent variables declared")
@@ -326,16 +286,20 @@ def _cmd_bridge(args, report: _Report) -> int:
             if subset
         ]
 
+    fixed_witnesses = []  # none given: each candidate sweeps every witness set
+    if args.witness is not None:
+        wanted = set(args.witness)
+        names = tuple(v for v in model.endo_names if v in wanted)
+        if len(names) != len(wanted):
+            unknown = sorted(wanted - set(names))
+            raise ModelError(f"--witness names unknown endogenous variable {unknown[0]}")
+        fixed_witnesses = [Witness(names, tuple(actual[w] for w in names))]
+
     verdicts = []
     records = []
     for candidate in candidates:
-        if args.witness is not None:
-            names = tuple(v for v in model.endo_names if v in set(args.witness))
-            if len(names) != len(set(args.witness)):
-                unknown = sorted(set(args.witness) - set(names))
-                raise ModelError(f"--witness names unknown endogenous variable {unknown[0]}")
-            witnesses = [Witness(names, tuple(actual[w] for w in names))]
-        else:
+        witnesses = fixed_witnesses
+        if not witnesses:
             pool = [v for v in model.endo_names if v not in set(candidate.vars)]
             witnesses = [
                 Witness(subset, tuple(actual[w] for w in subset))
@@ -506,15 +470,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     report = _Report(args.format)
     try:
         code = args.handler(args, report)
-    except (ModelError, BridgeError, CausalityError) as exc:
-        report.say(_red(f"error: {exc}"))
-        report.payload["error"] = str(exc)
-        code = 1
-    except RecursionError:
-        # Parsing, validation and evaluation walk expressions
-        # recursively; a deep enough one gets this answer, not a traceback.
-        report.say(_red("error: expression nested too deeply"))
-        report.payload["error"] = "expression nested too deeply"
+    except (_Failure, ModelError, RecursionError) as exc:
+        if not isinstance(exc, _Failure):
+            # Parsing, validation and evaluation walk expressions
+            # recursively; a deep enough one gets this answer, not a traceback.
+            error = "expression nested too deeply" if isinstance(exc, RecursionError) else str(exc)
+            exc = _Failure([f"error: {error}"], {"error": error})
+        for line in exc.lines:
+            report.say(_red(line))
+        report.payload.update(exc.fields)
         code = 1
     report.emit()
     return code

@@ -23,7 +23,6 @@ class GraphError(ModelError):
 class CausalNetwork:
     nodes: tuple[VariableId, ...]
     edges: frozenset[tuple[VariableId, VariableId]]
-    exo_parents: Mapping[VariableId, frozenset[VariableId]]
     topo_order: tuple[VariableId, ...]  # acyclicity certificate
 
     def parents(self, node: VariableId) -> frozenset[VariableId]:
@@ -45,7 +44,6 @@ def build_network(model: CausalModel) -> CausalNetwork:
     return CausalNetwork(
         nodes=model.endo_names,
         edges=edges,
-        exo_parents=dict(model.exo_parents),
         topo_order=model.topo_order,
     )
 

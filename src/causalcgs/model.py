@@ -241,11 +241,6 @@ class CausalModel:
         return {v: free_variables(e) & endo for v, e in self.equations if v in endo}
 
     @cached_property
-    def exo_parents(self) -> dict[VariableId, frozenset[VariableId]]:
-        exo = frozenset(self.exo_names)
-        return {v: free_variables(e) & exo for v, e in self.equations if v in self.domain}
-
-    @cached_property
     def topo_order(self) -> tuple[VariableId, ...]:
         """A topological order of the endogenous dependency graph.
 
@@ -599,9 +594,7 @@ def intervened_model(model: CausalModel, intervention: Intervention) -> CausalMo
     # Fill the cached parent sets from the source's: a constant has no free
     # variables and every other equation is the source's, so the expressions
     # need no second walk.
-    for attr in ("endo_parents", "exo_parents"):
-        new.__dict__[attr] = {
-            v: frozenset() if v in intervention else ps
-            for v, ps in getattr(model, attr).items()
-        }
+    new.__dict__["endo_parents"] = {
+        v: frozenset() if v in intervention else ps for v, ps in model.endo_parents.items()
+    }
     return new

@@ -81,6 +81,10 @@ def test_readme_entry_point_resolves(module, name):
         ("causalcgs", "all_contexts"),
         ("causalcgs.model", "all_contexts"),
         ("causalcgs.builder", "CausalCgs.descendants"),
+        ("causalcgs.causality", "CandidateCause.as_mapping"),
+        ("causalcgs.causality", "CauseCertificate.intervention"),
+        ("causalcgs.model", "CausalModel.exo_parents"),
+        ("causalcgs.builder", "SizeReport.as_dict"),
     ],
 )
 def test_removed_names_stay_removed(module, name):

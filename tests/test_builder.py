@@ -133,7 +133,7 @@ def test_vehicle_leaf_labels(vehicle_cgs):
 
 def test_vehicle_size_report(vehicle_cgs):
     rep = size_report(vehicle_cgs)
-    assert rep.as_dict() == {"states": 13, "transitions": 20, "leaves": 8, "bound": 16}
+    assert dataclasses.asdict(rep) == {"states": 13, "transitions": 20, "leaves": 8, "bound": 16}
 
 
 def test_vehicle_checks_clean(vehicle_cgs):

@@ -47,11 +47,18 @@ def test_butfor_causes_of_no_collision(vehicle, vehicle_context):
     assert is_butfor_cause(vehicle, vehicle_context, _candidate(vehicle, vehicle_context, "O"), NO_COLLISION) is None
 
 
+def _falsifying_intervention(cert):
+    """X at the certificate's alternative, W frozen at its actual values."""
+    forced = dict(zip(cert.cause.vars, cert.alternative))
+    forced.update(zip(cert.witness.vars, cert.witness.values))
+    return forced
+
+
 def test_check_cause_certificate_flips_outcome(vehicle, vehicle_context):
     cert = check_cause(vehicle, vehicle_context, _candidate(vehicle, vehicle_context, "ODS"), NO_COLLISION)
     assert cert is not None
     assert cert.witness.vars == ()
-    flipped = evaluate(vehicle, vehicle_context, cert.intervention())
+    flipped = evaluate(vehicle, vehicle_context, _falsifying_intervention(cert))
     assert not satisfies(flipped, NO_COLLISION)
 
 

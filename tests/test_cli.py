@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 from weakref import WeakKeyDictionary
 
@@ -41,6 +42,18 @@ def test_validate_missing_file(capsys):
     code, out = run(capsys, "validate", "/nonexistent/x.scm")
     assert code == 1
     assert "cannot read" in out
+
+
+def test_validate_non_utf8_file(tmp_path, capsys, monkeypatch):
+    (tmp_path / "latin1.scm").write_bytes("# caf\xe9\n".encode("latin-1"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CAUSAL_CGS_COLOR", raising=False)
+    assert run(capsys, "validate", "latin1.scm") == (
+        1, "error: cannot read latin1.scm: not UTF-8 text\n"
+    )
+    assert run(capsys, "validate", "latin1.scm", "--format", "json") == (
+        1, dumps({"error": "cannot read latin1.scm"}) + "\n"
+    )
 
 
 def test_validate_json_format(capsys):
@@ -362,3 +375,68 @@ def test_no_report_or_export_runs_the_pure_python_encoder(capsys, monkeypatch, t
         assert code == 0, argv
         if golden is not None:
             assert out.encode("utf-8") == _golden_bytes(golden)
+
+
+# One case per way a run can fail, each pinned byte for byte: text, JSON, and
+# text with colour on. Every model file sits in the working directory, so the
+# paths the messages name are relative.
+FAILURES = (
+    ("unreadable_file", ["validate", "missing.scm"]),
+    ("parse_error", ["validate", "parse_error.scm"]),
+    ("diagnostics", ["validate", "broken.scm"]),
+    ("diagnostics_rank", ["rank", "broken.scm"]),
+    ("no_agents", ["rank", "no_agents.scm"]),
+    ("too_deep", ["validate", "deep.scm"]),
+    ("no_context", ["causes", "no_context.scm", "--outcome", "no_collision"]),
+    ("unwritable_dot", ["build", "vehicle.scm", "--dot", "missing/tree.dot"]),
+    ("unwritable_json", ["build", "vehicle.scm", "--dot", "tree.dot", "--json", "missing/tree.json"]),
+    ("bad_intervene", ["build", "vehicle.scm", "--intervene", "HD"]),
+    ("unknown_outcome", ["causes", "vehicle.scm", "--outcome", "nope"]),
+    ("false_outcome", ["causes", "vehicle.scm", "--outcome", "collision"]),
+    ("non_actual_cause", ["bridge", "vehicle.scm", "--outcome", "no_collision", "--cause", "DA=1"]),
+    ("unknown_cause", ["bridge", "vehicle.scm", "--outcome", "no_collision", "--cause", "Nope=1"]),
+    ("unknown_witness", ["bridge", "vehicle.scm", "--outcome", "no_collision", "--witness", "HD", "Nope"]),
+)
+
+
+def _write_failure_models(directory):
+    with open(VEHICLE, encoding="utf-8") as handle:
+        vehicle = handle.read()
+    files = {
+        "vehicle.scm": vehicle,
+        "no_context.scm": vehicle.replace("context U_O = 1, U_Att = 0\n", ""),
+        "broken.scm": BROKEN,
+        "parse_error.scm": "exogenous U in {0, 1}\nagent X in {0, 1}\neq X := U &\n",
+        "no_agents.scm": "exogenous U in {0, 1}\nendogenous X in {0, 1}\neq X := U\n",
+    }
+    for name, text in files.items():
+        (directory / name).write_text(text)
+    _deep_model(directory, 2 * sys.getrecursionlimit())
+
+
+@pytest.mark.parametrize("mode", ["text", "json", "color"])
+@pytest.mark.parametrize("name, argv", FAILURES, ids=[name for name, _ in FAILURES])
+def test_failure_reports_match_golden_bytes(tmp_path, capsys, monkeypatch, name, argv, mode):
+    _write_failure_models(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CAUSAL_CGS_COLOR", "1" if mode == "color" else "0")
+    code, out = run(capsys, *argv, "--format", "json" if mode == "json" else "text")
+    golden = _golden_bytes(os.path.join("failures", f"{name}.{mode}"))
+    assert f"exit {code}\n{out}".encode("utf-8") == golden
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["validate", VEHICLE], 0), (["validate", "missing.scm"], 1)],
+    ids=["success", "failure"],
+)
+def test_console_entry_point(tmp_path, argv, code):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "causalcgs", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (code, "")
+    assert done.stdout

@@ -23,9 +23,8 @@ def test_vehicle_network_edges(vehicle):
     assert ("HD", "DA") in net.edges
     assert ("ODS", "DA") in net.edges
     assert {("DA", "Col"), ("HD", "Col"), ("O", "Col")} <= net.edges
-    # no edge from an exogenous variable; those live in exo_parents
+    # no edge from an exogenous variable
     assert all(x in net.nodes for x, _ in net.edges)
-    assert net.exo_parents["O"] == frozenset({"U_O"})
 
 
 def test_vehicle_levels(vehicle):

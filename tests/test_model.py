@@ -161,7 +161,7 @@ def test_intervened_model_inherits_parent_sets(mc, data):
     model, _ = mc
     endo = list(model.endo_names)
     forced = data.draw(st.dictionaries(st.sampled_from(endo), values, max_size=len(endo)))
-    source_parents = (dict(model.endo_parents), dict(model.exo_parents))
+    source_parents = dict(model.endo_parents)
     surgered = intervened_model(model, forced)
     fresh = CausalModel(  # the same fields, nothing carried over
         exogenous=surgered.exogenous,
@@ -170,13 +170,12 @@ def test_intervened_model_inherits_parent_sets(mc, data):
         agent_vars=surgered.agent_vars,
     )
     assert list(surgered.endo_parents.items()) == list(fresh.endo_parents.items())
-    assert list(surgered.exo_parents.items()) == list(fresh.exo_parents.items())
     assert surgered.topo_order == fresh.topo_order
     assert build_network(surgered) == build_network(fresh)
     levels = variable_levels(build_network(fresh), fresh)
     assert variable_levels(build_network(surgered), surgered) == levels
     assert agent_ranking(surgered, levels) == agent_ranking(fresh, levels)
-    assert (model.endo_parents, model.exo_parents) == source_parents
+    assert model.endo_parents == source_parents
 
 
 def test_cycle_detected():
