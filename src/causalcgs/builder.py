@@ -12,6 +12,13 @@ An optional generating intervention bakes extra forced values into every
 label (and into the dependency structure used for ranking), so the game for
 an already-intervened setting comes out of the same code path.
 
+Only the root's label is solved in full, by one `evaluate` call. An
+intervention changes only the variables downstream of it, so a child's label
+is its parent's with the depth's actions set and, in topological order, only
+the variables those acting agents reach re-solved; variables the generating
+intervention or an earlier action fixes stay as they are. The re-solve list
+is computed once per depth, and each label is stored once, in `assignments`.
+
 A model is validated at its first build; the context, and the generating
 intervention, at every build that misses the cache.
 """
@@ -35,6 +42,7 @@ from .model import (
     VariableId,
     evaluate,
     intervened_model,
+    solve,
     validate_context,
     validate_model,
 )
@@ -134,32 +142,34 @@ def build_causal_cgs(
     transitions: dict[tuple[StateIndex, tuple[Move, ...]], StateIndex] = {}
     parent: dict[StateIndex, tuple[StateIndex, tuple[Move, ...]]] = {}
     assignments: dict[StateIndex, dict[VariableId, Value]] = {}
-    # The intervention behind each state of the current depth, by index j:
-    # the generating one overridden by the actions on the path to the state.
-    forced: list[dict[VariableId, Value]] = [generating]
+    # The current depth's states, by index j, each with its label.
+    frontier = [(StateIndex(0, 0), evaluate(model, context, generating))]
+    # Variables no later action can change: the generating intervention's and
+    # every agent that has acted. A re-solve stops at them.
+    fixed = set(generating)
     for depth in range(ranking.n_max + 1):
-        options = tuple(
-            model.domain[a] if ranking.rho[a] == depth + 1 else (NO_OP,) for a in agents
-        )
+        acting = [a for a in agents if ranking.rho[a] == depth + 1]
+        fixed.update(acting)
+        resolve = _reached(model, acting, fixed)
+        options = tuple(model.domain[a] if a in acting else (NO_OP,) for a in agents)
         vectors = list(itertools.product(*options))
         actions = [
             {a: m for a, m in zip(agents, vector) if m is not NO_OP} for vector in vectors
         ]
-        next_forced: list[dict[VariableId, Value]] = []
-        for j, intervention in enumerate(forced):
-            state = StateIndex(depth, j)
-            assignments[state] = evaluate(model, context, intervention)
+        next_frontier: list[tuple[StateIndex, dict[VariableId, Value]]] = []
+        for state, label in frontier:
+            assignments[state] = label
             for agent, opts in zip(agents, options):
                 moves[(agent, state)] = opts
             if depth == ranking.n_max:  # a leaf: the all-NO_OP vector loops back
                 transitions[(state, vectors[0])] = state
                 continue
             for k, vector in enumerate(vectors):
-                child = StateIndex(depth + 1, j * len(vectors) + k)
+                child = StateIndex(depth + 1, state.j * len(vectors) + k)
                 transitions[(state, vector)] = child
                 parent[child] = (state, vector)
-                next_forced.append({**intervention, **actions[k]})
-        forced = next_forced
+                next_frontier.append((child, solve(model, {**label, **actions[k]}, resolve)))
+        frontier = next_frontier
 
     built = CausalCgs(
         base=Cgs(
@@ -176,6 +186,20 @@ def build_causal_cgs(
     )
     _CGS_CACHE.setdefault(model, {})[key] = built
     return built
+
+
+def _reached(
+    model: CausalModel, acting: list[VariableId], fixed: set[VariableId]
+) -> tuple[VariableId, ...]:
+    """The variables outside `fixed` that depend on an acting agent through
+    variables outside `fixed`, in topological order."""
+    reached = set(acting)
+    order = []
+    for v in model.topo_order:
+        if v not in fixed and not model.endo_parents[v].isdisjoint(reached):
+            reached.add(v)
+            order.append(v)
+    return tuple(order)
 
 
 def action_path(cgs: CausalCgs, state: StateIndex) -> ActionPath:
@@ -253,7 +277,9 @@ def check_rank_stability(cgs: CausalCgs) -> list[str]:
 
 def check_leaf_correspondence(cgs: CausalCgs) -> list[str]:
     """Every maximal-depth state must agree with the setting intervened by
-    its own action path (on top of the generating intervention)."""
+    its own action path (on top of the generating intervention). The builder
+    derives each label from its parent's; this solves each leaf's setting
+    afresh with `evaluate`, so it checks that derivation independently."""
     problems = []
     for leaf in cgs.leaves:
         forced = dict(cgs.origin.intervention)

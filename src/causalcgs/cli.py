@@ -411,6 +411,17 @@ def _cmd_selftest(args, report: _Report) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """An option value that counts something: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged."""
@@ -455,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bridge)
 
     p = sub.add_parser("selftest", parents=[common], help="seeded property sweep")
-    p.add_argument("--models", type=int, default=100)
+    p.add_argument("--models", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_selftest)
     return parser

@@ -500,18 +500,26 @@ def evaluate(model: CausalModel, context: Context, intervention: Intervention | 
         _check_intervention(model, intervention)
         values: dict[VariableId, Value] = dict(context)
         values.update(intervention)
-        for v in model.topo_order:
-            if v in intervention:
-                continue
-            result = eval_expr(model.equation[v], values)
-            if result not in model.domain[v]:
-                raise ModelError(
-                    f"internal error: equation for {v} produced {result!r}, outside its domain"
-                )
-            values[v] = result
-        hit = values
+        hit = solve(model, values, [v for v in model.topo_order if v not in intervention])
         model._solved[key] = hit
     return dict(hit)
+
+
+def solve(
+    model: CausalModel, values: dict[VariableId, Value], order: Iterable[VariableId]
+) -> dict[VariableId, Value]:
+    """Set each variable of `order`, a topological order, from its equation
+    over `values`, in place; returns `values`. Every other variable an
+    equation reads must already be set."""
+    equation, domain = model.equation, model.domain
+    for v in order:
+        result = eval_expr(equation[v], values)
+        if result not in domain[v]:
+            raise ModelError(
+                f"internal error: equation for {v} produced {result!r}, outside its domain"
+            )
+        values[v] = result
+    return values
 
 
 def satisfies(assignment: Mapping[VariableId, Value], formula: EventFormula) -> bool:

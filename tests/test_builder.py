@@ -1,9 +1,11 @@
 import dataclasses
+import os
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from conftest import parse_checked
 from model_strategies import models_with_context, randgen_models_with_context, values
 from tree_checks import (
     check_child_ranges,
@@ -26,6 +28,7 @@ from causalcgs.builder import (
     size_report,
 )
 from causalcgs.cgs import NO_OP
+from causalcgs.dsl import parse_model
 from causalcgs.model import (
     BOOL,
     Const,
@@ -38,6 +41,8 @@ from causalcgs.model import (
 )
 
 B = BOOL
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def q(i, j):
@@ -301,3 +306,83 @@ def test_tree_checks_catch_a_corrupted_label(mc, data):
                 ), (state, v)
                 if state.i == cgs.n_max:
                     assert check_leaf_correspondence(broken) != [], (state, v)
+
+
+def _path_label_problems(cgs, generating):
+    """States whose label differs from a full evaluation under the generating
+    intervention overridden by the state's path actions."""
+    origin = cgs.origin
+    return [
+        state
+        for state in cgs.states
+        if cgs.assignments[state]
+        != evaluate(origin.model, origin.context, {**generating, **dict(action_path(cgs, state))})
+    ]
+
+
+@given(randgen_models_with_context(), st.data())
+def test_every_label_is_its_path_evaluation(mc, data):
+    # Labels are built from the parent's by re-solving what the acting agents
+    # reach; each must equal solving the whole setting from scratch. Agents
+    # in the generating intervention act later and override it.
+    model, context = mc
+    generating = {
+        v: data.draw(st.sampled_from(model.domain[v]))
+        for v in model.endo_names
+        if data.draw(st.booleans())
+    }
+    cgs = build_causal_cgs(model, context, generating)
+    assert _path_label_problems(cgs, generating) == []
+
+
+def _mixed():
+    with open(os.path.join(GOLDEN, "mixed.scm"), "r", encoding="utf-8") as handle:
+        doc = parse_checked(handle.read())
+    return doc.model, doc.context
+
+
+@pytest.mark.parametrize(
+    "setting, generating",
+    [
+        ("vehicle", {"HD": "1"}),
+        ("vehicle", {"HD": "1", "Col": "0"}),
+        ("mixed", {}),
+        ("mixed", {"Gear": "lo"}),
+        ("mixed", {"Fast": "1", "Brake": "0"}),
+    ],
+)
+def test_labels_under_a_generating_intervention(vehicle, vehicle_context, setting, generating):
+    model, context = (vehicle, vehicle_context) if setting == "vehicle" else _mixed()
+    cgs = build_causal_cgs(model, context, generating)
+    assert _path_label_problems(cgs, generating) == []
+    assert check_leaf_correspondence(cgs) == []
+
+
+def _chain_text(n):
+    """chain(n) in the model language: A1 copies U, each later agent gates the
+    one before it (copy, negate, or V, and U, in turn), Out copies the last."""
+    gates = ("{}", "!{}", "{} | V", "{} & U")
+    lines = ["exogenous U in {0, 1}", "exogenous V in {0, 1}"]
+    lines += [f"agent A{k} in {{0, 1}}" for k in range(1, n + 1)]
+    lines += ["endogenous Out in {0, 1}", "eq A1 := U"]
+    lines += [f"eq A{k} := " + gates[(k - 2) % 4].format(f"A{k - 1}") for k in range(2, n + 1)]
+    lines += [f"eq Out := A{n}", "context U = 1, V = 0"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_build_solves_only_its_root_in_full(monkeypatch):
+    # The root is the one full evaluation; every other label is derived from
+    # its parent's and lives only in the tree, not in evaluate's memo too.
+    calls = []
+    original = builder.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(builder, "evaluate", counting)
+    doc = parse_model(_chain_text(7))
+    cgs = build_causal_cgs(doc.model, doc.context, {})
+    assert len(cgs.states) == 2**8 - 1
+    assert len(calls) == 1
+    assert len(doc.model._solved) == 1

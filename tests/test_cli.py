@@ -212,6 +212,15 @@ def test_usage_error_exits_2(capsys):
     assert main(["causes", VEHICLE]) == 2  # --outcome required
 
 
+@pytest.mark.parametrize("count", ["-3", "-1", "x", "2.5"])
+def test_selftest_rejects_a_count_that_is_not_one(capsys, count):
+    # a negative count once passed as a successful audit of nothing
+    assert main(["selftest", "--models", count, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --models" in captured.err
+
+
 def test_color_toggle(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CAUSAL_CGS_COLOR", "1")
     code, out = run(capsys, "validate", VEHICLE)

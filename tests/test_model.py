@@ -230,6 +230,10 @@ def test_range_mismatch_reported():
         {"X": Var("U")},
     )
     assert any(d.code == "range" for d in validate_model(m))
+    # evaluate does not validate the model, but its solving loop still
+    # refuses a value outside the variable's domain
+    with pytest.raises(ModelError, match="internal error: equation for X produced '0', outside"):
+        evaluate(m, {"U": "0"})
 
 
 def test_ternary_domain_ite_evaluates():
